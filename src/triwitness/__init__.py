@@ -8,6 +8,7 @@ The package is organized bottom-up:
 * `triwitness.scenario`   preparations, settings, probability tables
 * `triwitness.witness`    the linear and determinant witnesses
 * `triwitness.randomness` min-entropies and certified rates
+* `triwitness.spheres`    batched minimization over unit vectors
 * `triwitness.explore`    settings optimization and window bisection
 * `triwitness.cli`        the command-line front end
 """

@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the things the library can produce:
 Angles are radians everywhere. All numeric output is rounded to 12
 significant digits, which makes repeated runs byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
+an angle outside [0, pi], a malformed scenario file).
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import pi
+from math import isfinite, pi
 from pathlib import Path
 
 import numpy as np
 
 from . import randomness as rnd
 from . import witness as wit
+from .channel import CouplingRangeError
 from .explore import OptimizeConfig, find_violation_window, optimize_settings
 from .scenario import (
+    InvalidScenarioError,
     ProbTable,
     Scenario,
     build_table,
@@ -325,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.0, help="coupling angle, radians")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9, help="simplex value tolerance")
-    p.add_argument("--allow-mixed", action="store_true", help="let preparations be mixed states")
+    p.add_argument("--tol", type=float, default=1e-9, help="stationarity tolerance, |gradient| / |value|")
+    p.add_argument("--allow-mixed", action="store_true", help="accepted; pure preparations are optimal")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -360,9 +363,13 @@ def _cmd_sweep(parser, args) -> int:
     return 0
 
 
+def _check_tol(parser, tol: float) -> None:
+    if not (isfinite(tol) and tol > 0):
+        parser.error(f"tol must be finite and positive, got {tol}")
+
+
 def _cmd_thresholds(parser, args) -> int:
-    if args.tol <= 0:
-        parser.error("tol must be positive")
+    _check_tol(parser, args.tol)
     window = find_violation_window(args.scenario, tol=args.tol)
     mid = 0.5 * (window.lo + window.hi)
     scn = canonical_w1_scenario() if args.scenario == "w1" else canonical_w2_scenario()
@@ -383,8 +390,7 @@ def _cmd_thresholds(parser, args) -> int:
 def _cmd_optimize(parser, args) -> int:
     if args.restarts < 1:
         parser.error("restarts must be >= 1")
-    if args.tol <= 0:
-        parser.error("tol must be positive")
+    _check_tol(parser, args.tol)
     cfg = OptimizeConfig(
         target=args.target,
         eps=args.eps,
@@ -452,8 +458,7 @@ def _cmd_table(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.steps < 2:
         parser.error("steps must be >= 2")
-    if args.tol <= 0:
-        parser.error("tol must be positive")
+    _check_tol(parser, args.tol)
     report, passed = run_verify(grid_steps=args.steps, tolerance=args.tol)
     width = max(len(r["check_name"]) for r in report)
     for r in report:
@@ -478,7 +483,13 @@ def main(argv=None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](parser, args)
+    try:
+        return handlers[args.command](parser, args)
+    except json.JSONDecodeError as exc:
+        print(f"{parser.prog}: error: scenario file is not valid JSON: {exc}", file=sys.stderr)
+    except (CouplingRangeError, InvalidScenarioError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Numerical search over scenario settings and root finding in the coupling.
 
-`optimize_settings` runs a seeded multi-start Nelder-Mead search over the
-Bloch angles of the preparations and measurement axes to recover the qubit
-maxima of either witness at a fixed coupling angle. The search objective
-evaluates the exact marginal channel in scalar Bloch algebra (cheap and
-identical to the density-matrix route to rounding error); the reported
-value of the best settings is re-evaluated through the full density-matrix
-simulation.
+`optimize_settings` certifies the qubit maxima of either witness at a fixed
+coupling angle by search. Every probability a witness reads is affine in
+the preparation, p(+1 | x, s) = a_s + r_x . m_s / 2, so the best
+preparations have a closed form (the see-saw step of Pawlowski & Brunner,
+PRA 84, 010302 (2011)), leaving W1 = |m0 + m1| + |m0 - m1| and
+W2 = |m0 x m1| to be maximized over the unit measurement axes alone, all
+restarts as one numpy batch. The best settings are re-evaluated through
+the full density-matrix simulation.
 
 `find_violation_window` brackets and bisects the coupling angles where the
 double violation of the linear witness pair starts and ends.
@@ -15,12 +16,13 @@ double violation of the linear witness pair starts and ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .channel import check_coupling
 from .scenario import Scenario, build_table, canonical_w1_scenario, canonical_w2_scenario
+from .spheres import minimize, unit  # looked up here per search, so wrapping explore.minimize sees every call
 from .witness import QRAC_SIGNS, w1, w2
 
 __all__ = [
@@ -32,15 +34,19 @@ __all__ = [
 ]
 
 _TARGETS = ("w1_ab", "w1_ac", "w2_ab", "w2_ac")
-
-#: Simplex step tolerance; value precision near a smooth maximum is of the
-#: order of the squared step, far below the 1e-6 recovery requirement.
-_XATOL = 1e-6
+_SIGNS = np.array(QRAC_SIGNS, dtype=float)  # (x, s) signs of the linear witness
+_X_AXIS, _Z_AXIS = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Search configuration; identical configs give bit-identical runs."""
+    """Search configuration; identical configs give bit-identical runs.
+
+    A restart stops once its projected gradient is at most ``tolerance``
+    times its witness value in norm (or once no step can improve it in
+    double precision). ``allow_mixed`` is accepted for compatibility: pure
+    preparations are optimal for an affine objective, so they stay pure.
+    """
 
     target: str  # one of w1_ab, w1_ac, w2_ab, w2_ac
     eps: float = 0.0
@@ -48,15 +54,18 @@ class OptimizeConfig:
     seed: int = 0
     tolerance: float = 1e-9
     max_iterations: int = 2000
-    allow_mixed: bool = False  # let preparations leave the sphere surface
+    allow_mixed: bool = False
 
     def __post_init__(self):
         if self.target not in _TARGETS:
             raise ValueError(f"target must be one of {_TARGETS}, got {self.target!r}")
+        check_coupling(self.eps)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,8 @@ class OptimizeResult:
 
     ``value`` is the witness of ``scenario`` re-evaluated through the full
     density-matrix simulation; ``converged`` is False when the best restart
-    stopped on the iteration cap instead of the tolerances.
+    stopped on the iteration cap. ``evaluations`` counts calls of the
+    objective, each of which evaluates every restart still climbing.
     """
 
     scenario: Scenario
@@ -89,143 +99,110 @@ class Window:
             raise ValueError(f"window ({self.lo}, {self.hi}) is not inside [0, pi]")
 
 
-def _unit(th: float, ph: float) -> tuple[float, float, float]:
-    st = sin(th)
-    return (st * cos(ph), st * sin(ph), cos(th))
+def _measurement_map(pair: str, eps: float):
+    """(k, m_of) for one observer pair under a uniform z prior.
 
+    k is the number of unit axes searched; ``m_of`` maps an axis batch
+    (R, k, 3) to the measurement vectors m (R, 2, 3) and to the adjoint that
+    takes a gradient in m to one in the axes.
 
-def _p_bob_plus(r, nu, om, ce: float) -> float:
-    # partial dephasing toward om, then projection on nu
-    rw = r[0] * om[0] + r[1] * om[1] + r[2] * om[2]
-    k = (1.0 - ce) * rw
-    d = (ce * r[0] + k * om[0]) * nu[0] + (ce * r[1] + k * om[1]) * nu[1] + (ce * r[2] + k * om[2]) * nu[2]
-    return 0.5 * (1.0 + d)
-
-
-def _p_charlie_plus(r, om, t, c2e: float, s2e: float) -> float:
-    q = 0.5 * (1.0 - (r[0] * om[0] + r[1] * om[1] + r[2] * om[2]))
-    kicked = 0.5 * (1.0 + t[0] * c2e - t[1] * s2e)
-    untouched = 0.5 * (1.0 + t[0])
-    return (1.0 - q) * untouched + q * kicked
-
-
-def _make_objective(cfg: OptimizeConfig):
-    """Build (objective, n_params); objective returns the witness value."""
-    kind, pair = cfg.target.split("_")
-    eps = float(cfg.eps)
-    ce, c2e, s2e = cos(eps), cos(2.0 * eps), sin(2.0 * eps)
-    mixed = cfg.allow_mixed
-    n_axis_params = 8 if pair == "ab" else 6  # nu0 nu1 om0 om1 | om0 om1 t
-    n = 8 + n_axis_params + (4 if mixed else 0)
-
-    def probs_plus(params):
-        vecs = [_unit(params[i], params[i + 1]) for i in range(0, 8 + n_axis_params, 2)]
-        preps = vecs[:4]
-        if mixed:
-            radii = [0.5 * (1.0 + cos(u)) for u in params[8 + n_axis_params:]]
-            preps = [(v[0] * s, v[1] * s, v[2] * s) for v, s in zip(preps, radii)]
-        if pair == "ab":
-            nus, oms = vecs[4:6], vecs[6:8]
-            return [
-                [
-                    0.5 * (_p_bob_plus(preps[x], nus[s], oms[0], ce) + _p_bob_plus(preps[x], nus[s], oms[1], ce))
-                    for s in range(2)
-                ]
-                for x in range(4)
-            ]
-        oms, t = vecs[4:6], vecs[6]
-        return [[_p_charlie_plus(preps[x], oms[s], t, c2e, s2e) for s in range(2)] for x in range(4)]
-
-    if kind == "w1":
-
-        def objective(params):
-            p = probs_plus(params)
-            return sum(QRAC_SIGNS[x][s] * p[x][s] for x in range(4) for s in range(2))
-
-    else:
-
-        def objective(params):
-            p = probs_plus(params)
-            return (p[0][0] - p[1][0]) * (p[2][1] - p[3][1]) - (p[2][0] - p[3][0]) * (p[0][1] - p[1][1])
-
-    return objective, n
-
-
-def _scenario_from_params(cfg: OptimizeConfig, params: np.ndarray) -> Scenario:
-    _, pair = cfg.target.split("_")
-    n_axis_params = 8 if pair == "ab" else 6
-    vecs = [_unit(params[i], params[i + 1]) for i in range(0, 8 + n_axis_params, 2)]
-    preps = np.array(vecs[:4])
-    if cfg.allow_mixed:
-        radii = np.array([0.5 * (1.0 + cos(u)) for u in params[8 + n_axis_params:]])
-        preps = preps * radii[:, None]
+    * AB, axes (nu0, nu1, om0, om1): Bob's vector is partially dephased
+      toward Charlie's axes, m_y = M nu_y with M = c I + h sum_z om_z om_z^T.
+    * AC, axes (om0, om1, t): the ancilla readout gains d = t . kick from
+      the -om_z half of the preparation, m_z = -d om_z.
+    """
     if pair == "ab":
-        bob_axes, charlie_axes = vecs[4:6], vecs[6:8]
-        ancilla = [1.0, 0.0, 0.0]  # never enters the AB statistics
-    else:
-        charlie_axes, ancilla = vecs[4:6], vecs[6]
-        bob_axes = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]  # never enters the AC statistics
-    return Scenario(preparations=preps, bob_axes=bob_axes, charlie_axes=charlie_axes, ancilla_axis=ancilla)
+        c, h = cos(eps), 0.5 * (1.0 - cos(eps))
+
+        def m_of(axes):
+            nu, om = axes[:, :2], axes[:, 2:]
+            mat = c * np.eye(3) + h * om.transpose(0, 2, 1) @ om
+
+            def pull_back(dm):
+                outer = dm.transpose(0, 2, 1) @ nu
+                return np.concatenate([dm @ mat, h * om @ (outer + outer.transpose(0, 2, 1))], axis=1)
+
+            return nu @ mat, pull_back
+
+        return 4, m_of
+
+    kick = -sin(eps) * np.array([sin(eps), cos(eps), 0.0])
+
+    def m_of(axes):
+        om, d = axes[:, :2], (axes[:, 2] @ kick)[:, None, None]
+
+        def pull_back(dm):
+            return np.concatenate([-d * dm, -np.sum(dm * om, axis=(1, 2), keepdims=True) * kick], axis=1)
+
+        return -d * om, pull_back
+
+    return 3, m_of
+
+
+def _best_preparations(kind: str, m: np.ndarray) -> np.ndarray:
+    """The pure preparations (R, 4, 3) maximizing the witness for m (R, 2, 3).
+
+    W1 takes r_x = unit(sum_s sign(x, s) m_s). W2 takes (u, -u, v, -v) for
+    u, v orthonormal in the plane of m0, m1 with u x v along m0 x m1. Where
+    these vectors vanish every choice gives 0, and fixed axes are used.
+    """
+    if kind == "w1":
+        return unit(_SIGNS @ m, _Z_AXIS)
+    u = unit(m[:, 0], _Z_AXIS)
+    v = unit(np.cross(unit(np.cross(m[:, 0], m[:, 1])), u), _X_AXIS)
+    return np.stack([u, -u, v, -v], axis=1)
+
+
+def _witness_of_m(kind: str, m: np.ndarray):
+    """Witness (R,) under the best preparations, and its gradient in m.
+
+    By the envelope theorem the gradient is that of the affine witness with
+    the best preparations held fixed. The values equal |m0 + m1| + |m0 - m1|
+    and |m0 x m1|.
+    """
+    r = _best_preparations(kind, m)
+    if kind == "w1":  # W1 = sum_s m_s . dm_s with dm_s = sum_x sign(x, s) r_x / 2
+        dm = 0.5 * _SIGNS.T @ r
+        return np.sum(dm * m, axis=(1, 2)), dm
+    # W2 = (u . m0)(v . m1) - (v . m0)(u . m1) with u = r_0, v = r_2
+    a, b = np.einsum("ri,rsi->rs", r[:, 0], m), np.einsum("ri,rsi->rs", r[:, 2], m)
+    dm = np.stack([r[:, 0] * b[:, 1:] - r[:, 2] * a[:, 1:], r[:, 2] * a[:, :1] - r[:, 0] * b[:, :1]], axis=1)
+    return a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1], dm
 
 
 def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
-    """Multi-start simplex search for the settings maximizing the target.
+    """Multi-start search for the settings maximizing the target.
 
-    Restart points are drawn uniformly (axes uniform on the sphere) from a
-    seeded PCG64 generator; given the same config the whole trajectory and
-    the result are reproducible bit for bit. Restarts are merged by value
-    with the earliest restart winning ties.
+    Restart axes are drawn uniformly on the sphere from a seeded PCG64
+    generator; given the same config the whole trajectory and the result
+    are reproducible bit for bit.
     """
-    objective, n = _make_objective(cfg)
-    rng = np.random.default_rng(cfg.seed)
-
-    tracker = {"nfev": 0, "max_abs": 0.0}
-
-    def negated(params):
-        v = objective(params)
-        tracker["nfev"] += 1
-        a = abs(v)
-        if a > tracker["max_abs"]:
-            tracker["max_abs"] = a
-        return -v
-
-    best_value = -np.inf
-    best_params = None
-    best_index = -1
-    best_success = False
-    for k in range(cfg.restarts):
-        x0 = np.empty(n)
-        x0[0:n:2] = np.arccos(rng.uniform(-1.0, 1.0, size=(n + 1) // 2))
-        x0[1:n:2] = rng.uniform(0.0, 2.0 * pi, size=n // 2)
-        res = minimize(
-            negated,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iterations,
-                "xatol": _XATOL,
-                "fatol": cfg.tolerance,
-                "adaptive": True,
-            },
-        )
-        if -res.fun > best_value:
-            best_value = -res.fun
-            best_params = res.x
-            best_index = k
-            best_success = bool(res.success)
-
-    scenario = _scenario_from_params(cfg, best_params)
-    table = build_table(scenario, cfg.eps)
     kind, pair = cfg.target.split("_")
+    k, m_of = _measurement_map(pair, float(cfg.eps))
+    evaluated = []  # largest |value| of each objective call
+
+    def negated(flat):
+        m, pull_back = m_of(flat.reshape(-1, k, 3))
+        value, dm = _witness_of_m(kind, m)
+        evaluated.append(float(np.abs(value).max()))
+        return -value, -pull_back(dm).reshape(flat.shape)
+
+    x0 = unit(np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, k, 3)))
+    res = minimize(negated, x0.reshape(cfg.restarts, 3 * k), maxiter=cfg.max_iterations, tol=cfg.tolerance)
+    axes = res.x.reshape(k, 3)
+    preparations = _best_preparations(kind, m_of(axes[None])[0])[0]
+    if pair == "ab":
+        scenario = Scenario(preparations, bob_axes=axes[:2], charlie_axes=axes[2:], ancilla_axis=_X_AXIS)
+    else:  # Bob's axes never enter the AC statistics
+        scenario = Scenario(preparations, bob_axes=[_X_AXIS, _Z_AXIS], charlie_axes=axes[:2], ancilla_axis=axes[2])
     evaluator = w1 if kind == "w1" else w2
-    simulated = evaluator(table, pair=pair).value
     return OptimizeResult(
         scenario=scenario,
-        value=float(simulated),
-        converged=best_success,
-        restart_index=best_index,
-        evaluations=tracker["nfev"],
-        max_evaluated=float(tracker["max_abs"]),
+        value=float(evaluator(build_table(scenario, cfg.eps), pair=pair).value),
+        converged=res.success,
+        restart_index=res.index,
+        evaluations=len(evaluated),
+        max_evaluated=max(evaluated),
     )
 
 
@@ -274,8 +251,8 @@ def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     interval (0, pi) qualifies; positivity of both witnesses is spot-checked
     at interior angles.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if kind == "w1":
         f_ac = lambda e: _w1_pair_value("ac", e) - 2.0
         f_ab = lambda e: _w1_pair_value("ab", e) - 2.0

@@ -57,9 +57,14 @@ class InvalidScenarioError(ValueError):
 
 
 def _as_locked(a, shape, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=float)
+    try:
+        arr = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidScenarioError(f"{name} is not an array of numbers: {exc}") from exc
     if arr.shape != shape:
         raise InvalidScenarioError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidScenarioError(f"{name} has a non-finite entry: {arr.tolist()}")
     arr.setflags(write=False)
     return arr
 
@@ -109,6 +114,8 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise InvalidScenarioError(f"scenario document must be an object, got {type(data).__name__}")
         try:
             return cls(
                 preparations=data["preparations"],
@@ -187,7 +194,13 @@ def p_charlie(s: Scenario, eps: float, x: int, z: int) -> np.ndarray:
     return np.array([p_plus, 1.0 - p_plus])
 
 
-def _joint_cell(rho_joint: np.ndarray, bob_axis, anc_axis) -> np.ndarray:
+def _cell_projectors(bob_axis, anc_axis) -> tuple:
+    """The ancilla projector and the joint (b = +1, c) projectors of one cell."""
+    p_b = projector(bob_axis)
+    return projector(anc_axis), [np.kron(p_b, projector(c * np.asarray(anc_axis))) for c in OUTCOMES]
+
+
+def _joint_cell(rho_joint: np.ndarray, p_anc: np.ndarray, proj_pairs) -> np.ndarray:
     """Joint (b, c) distribution for one measurement pair on a 4x4 state.
 
     The +1 row is obtained by direct projection; the -1 row is the
@@ -197,14 +210,12 @@ def _joint_cell(rho_joint: np.ndarray, bob_axis, anc_axis) -> np.ndarray:
     reproduces Charlie's marginal bit for bit regardless of y.
     """
     rho_c = partial_trace(rho_joint, keep="ancilla")
-    m_plus = float(np.trace(projector(anc_axis) @ rho_c).real)
+    m_plus = float(np.trace(p_anc @ rho_c).real)
     m_plus = min(max(m_plus, 0.0), 1.0)
     marg = (m_plus, 1.0 - m_plus)
 
-    p_b = projector(bob_axis)
     out = np.empty((2, 2))
-    for ic, c in enumerate(OUTCOMES):
-        proj_pair = np.kron(p_b, projector(c * np.asarray(anc_axis)))
+    for ic, proj_pair in enumerate(proj_pairs):
         top = float(np.trace(proj_pair @ rho_joint).real)
         top = min(max(top, 0.0), marg[ic])
         bottom = marg[ic] - top
@@ -219,7 +230,7 @@ def p_joint(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
     Returns a (2, 2) array indexed [b, c] with index 0 for outcome +1.
     """
     rho_joint = channel.evolve_joint(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    return _joint_cell(rho_joint, s.bob_axes[y], s.ancilla_axis)
+    return _joint_cell(rho_joint, *_cell_projectors(s.bob_axes[y], s.ancilla_axis))
 
 
 @dataclass(frozen=True)
@@ -278,11 +289,12 @@ class ProbTable:
 def build_table(s: Scenario, eps: float) -> ProbTable:
     """Fill all 64 joint probabilities for one coupling angle."""
     probs = np.empty((4, 2, 2, 2, 2))
+    cells = [_cell_projectors(s.bob_axes[y], s.ancilla_axis) for y in range(2)]  # shared by every (x, z)
     for z in range(2):
         for x in range(4):
             rho_joint = channel.evolve_joint(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
             for y in range(2):
-                probs[x, y, z] = _joint_cell(rho_joint, s.bob_axes[y], s.ancilla_axis)
+                probs[x, y, z] = _joint_cell(rho_joint, *cells[y])
     return ProbTable(probs=probs, scenario=s, eps=eps)
 
 

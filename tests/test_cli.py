@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +116,52 @@ def test_optimize_rejects_bad_flags(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--tol", "-1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["thresholds", "optimize", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_usage_error(command, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tol", tol])
+    assert exc.value.code == 2
+
+
+def assert_usage_error(argv, capsys, needle):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("triwitness: error:") and needle in lines[0]
+
+
+@pytest.mark.parametrize("eps", ["nan", "5", "-1"])
+def test_optimize_coupling_outside_zero_to_pi_is_a_usage_error(eps, capsys):
+    assert_usage_error(["optimize", "--eps", eps, "--restarts", "1"], capsys, "coupling angle")
+
+
+@pytest.mark.parametrize("command", ["table", "randomness"])
+def test_coupling_outside_zero_to_pi_is_a_usage_error(command, capsys):
+    assert_usage_error([command, "--eps", "4"], capsys, "coupling angle")
+
+
+def test_scenario_file_with_nan_preparation_is_a_usage_error(tmp_path, capsys):
+    doc = canonical_w2_scenario().to_dict()
+    doc["preparations"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # json writes the non-standard NaN literal
+    assert_usage_error(["table", "--eps", "1.0", "--scenario-file", str(path)], capsys, "non-finite")
+
+
+def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"preparations": [[0, 0, 1]')
+    assert_usage_error(["sweep", "--steps", "3", "--scenario-file", str(path)], capsys, "not valid JSON")
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, triwitness.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_randomness_single_angle(tmp_path):

@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from triwitness import explore
+from triwitness.channel import CouplingRangeError
 from triwitness.explore import OptimizeConfig, Window, find_violation_window, optimize_settings
-from triwitness.scenario import build_table, canonical_w1_scenario
-from triwitness.witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, w1
+from triwitness.scenario import Scenario, build_table, canonical_w1_scenario
+from triwitness.witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, w1, w2
+
+TARGETS = ("w1_ab", "w1_ac", "w2_ab", "w2_ac")
+BOUND = {"w1": QUANTUM_BOUND_W1, "w2": QUANTUM_BOUND_W2}
+X_AXIS, Z_AXIS = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+
+coupling = st.floats(0.0, np.pi)
+direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+axis_batch = st.lists(direction, min_size=4, max_size=4).map(lambda vs: [np.array(v) / np.linalg.norm(v) for v in vs])
 
 # frozen analytic window endpoints
 WINDOW_LO = 0.9989374565936864  # arcsin(2^(-1/4))
@@ -25,6 +37,23 @@ def test_config_validation():
         OptimizeConfig(target="w1_ab", restarts=0)
     with pytest.raises(ValueError):
         OptimizeConfig(target="w1_ab", tolerance=0.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0, 4.0, float("inf")])
+def test_config_rejects_couplings_outside_zero_to_pi(eps):
+    with pytest.raises(CouplingRangeError):
+        OptimizeConfig(target="w1_ab", eps=eps)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1e-9])
+def test_config_rejects_non_finite_or_negative_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        OptimizeConfig(target="w1_ab", tolerance=tolerance)
+
+
+def test_config_rejects_zero_iterations():
+    with pytest.raises(ValueError, match="max_iterations"):
+        OptimizeConfig(target="w1_ab", max_iterations=0)
 
 
 def test_optimizer_is_deterministic():
@@ -104,3 +133,110 @@ def test_window_validation():
         find_violation_window("w7", tol=1e-9)
     with pytest.raises(ValueError):
         Window(lo=1.0, hi=0.5, kind="w1")
+
+
+def test_window_rejects_non_finite_tolerance():
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            find_violation_window("w1", tol=tol)
+
+
+def test_ab_pair_reaches_both_qubit_bounds_without_coupling():
+    for target, bound in (("w1_ab", QUANTUM_BOUND_W1), ("w2_ab", QUANTUM_BOUND_W2)):
+        res = optimize_settings(small_cfg(target=target, restarts=8, seed=2))
+        assert res.converged
+        assert abs(res.value - bound) < 1e-9
+
+
+@pytest.mark.parametrize("target", ["w1_ac", "w2_ac"])
+@pytest.mark.parametrize("eps", [0.0, np.pi])
+def test_ac_pair_without_charlie_signal_gives_a_valid_scenario_worth_zero(target, eps):
+    # at eps = 0 or pi the ancilla readout carries no information: m = 0 up to
+    # sin(pi) ~ 1e-16, and the simulated witness sums to 0 up to rounding
+    res = optimize_settings(small_cfg(target=target, eps=eps, restarts=4))
+    assert isinstance(res.scenario, Scenario)
+    assert np.allclose(np.linalg.norm(res.scenario.preparations, axis=1), 1.0)
+    assert res.converged
+    assert abs(res.value) < 1e-15
+    assert res.max_evaluated < 1e-15
+
+
+def test_iteration_cap_clears_converged():
+    res = optimize_settings(small_cfg(restarts=3, max_iterations=1))
+    assert not res.converged
+    assert res.max_evaluated <= QUANTUM_BOUND_W1 + 1e-9
+
+
+def test_module_minimize_is_the_single_patchable_entry(monkeypatch):
+    """Wrapping ``explore.minimize`` and its objective sees every evaluation."""
+    calls, outcomes = [], []
+    original = explore.minimize
+
+    def wrapped(fun, x0, **options):
+        def counted(batch):
+            assert batch.ndim == 2 and batch.shape[1] == x0.shape[1]
+            calls.append(len(batch))
+            return fun(batch)
+
+        res = original(counted, x0, **options)
+        outcomes.append(res.success)
+        return res
+
+    monkeypatch.setattr(explore, "minimize", wrapped)
+    res = optimize_settings(small_cfg(target="w2_ac", eps=1.0, restarts=5))
+    assert res.evaluations == len(calls)
+    assert calls[0] == 5
+    assert len(outcomes) == 1 and type(outcomes[0]) is bool
+
+
+def _scenario(pair, preparations, axes):
+    """Scenario whose target statistics use the searched axes."""
+    if pair == "ab":
+        return Scenario(preparations, bob_axes=axes[:2], charlie_axes=axes[2:], ancilla_axis=X_AXIS)
+    return Scenario(preparations, bob_axes=[X_AXIS, Z_AXIS], charlie_axes=axes[:2], ancilla_axis=axes[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(target=st.sampled_from(TARGETS), eps=coupling, axes=axis_batch)
+def test_eliminated_objective_is_the_simulated_witness_of_the_closed_form_preparations(target, eps, axes):
+    kind, pair = target.split("_")
+    k, m_of = explore._measurement_map(pair, eps)
+    m, _ = m_of(np.array(axes[:k])[None])
+    value = explore._witness_of_m(kind, m)[0][0]
+    preparations = explore._best_preparations(kind, m)[0]
+    table = build_table(_scenario(pair, preparations, axes[:k]), eps)
+    simulated = (w1 if kind == "w1" else w2)(table, pair=pair).value
+    m0, m1 = m[0]
+    closed = np.linalg.norm(m0 + m1) + np.linalg.norm(m0 - m1) if kind == "w1" else np.linalg.norm(np.cross(m0, m1))
+    assert abs(value - simulated) < 1e-12
+    assert abs(value - closed) < 1e-12
+    assert value <= BOUND[kind] + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(TARGETS), eps=coupling, axes=axis_batch, tangent=axis_batch)
+def test_objective_gradient_matches_central_differences(target, eps, axes, tangent):
+    kind, pair = target.split("_")
+    k, m_of = explore._measurement_map(pair, eps)
+    x, d = np.array(axes[:k])[None], np.array(tangent[:k])[None]
+    m, pull_back = m_of(x)
+    # keep away from the kinks of |.|, where the witness is not differentiable
+    signed = explore._SIGNS @ m[0]
+    assume(np.linalg.norm(signed, axis=1).min() > 1e-3 if kind == "w1" else np.linalg.norm(np.cross(*m[0])) > 1e-3)
+    grad = pull_back(explore._witness_of_m(kind, m)[1])
+
+    def value(at):
+        return explore._witness_of_m(kind, m_of(at)[0])[0][0]
+
+    h = 1e-6
+    numeric = (value(x + h * d) - value(x - h * d)) / (2.0 * h)
+    assert abs(numeric - np.sum(grad * d)) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=st.sampled_from(TARGETS), eps=coupling, seed=st.integers(0, 2**32 - 1))
+def test_search_never_evaluates_above_the_qubit_bound(target, eps, seed):
+    res = optimize_settings(OptimizeConfig(target=target, eps=eps, restarts=3, seed=seed, max_iterations=200))
+    bound = BOUND[target.split("_")[0]]
+    assert res.max_evaluated <= bound + 1e-9
+    assert abs(res.value) <= bound + 1e-9

@@ -63,6 +63,21 @@ def test_scenario_validation():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), "x"])
+@pytest.mark.parametrize("field", ["preparations", "bob_axes", "charlie_axes", "ancilla_axis", "z_prior"])
+def test_scenario_rejects_non_finite_or_non_numeric_entries(field, bad):
+    doc = canonical_w1_scenario().to_dict()
+    target = doc[field] if field in ("ancilla_axis", "z_prior") else doc[field][0]
+    target[0] = bad
+    with pytest.raises(InvalidScenarioError, match=field):
+        Scenario.from_dict(doc)
+
+
+def test_from_dict_rejects_a_document_that_is_not_an_object():
+    with pytest.raises(InvalidScenarioError):
+        Scenario.from_dict([[0, 0, 1]] * 4)
+
+
 def test_scenario_arrays_are_immutable():
     s = canonical_w1_scenario()
     with pytest.raises(ValueError):
