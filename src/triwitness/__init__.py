@@ -40,6 +40,7 @@ from .scenario import (
     ProbTable,
     Scenario,
     build_table,
+    build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
     p_bob,
@@ -81,6 +82,7 @@ __all__ = [
     "bob_certified",
     "bob_state",
     "build_table",
+    "build_tables",
     "canonical_w1_scenario",
     "canonical_w2_scenario",
     "charlie_certified",

@@ -10,6 +10,9 @@ the chosen basis and maximally rotates the ancilla.
 The exact marginal channels to Bob (`bob_state`) and Charlie
 (`charlie_state`) agree with the partial traces of `evolve_joint` to
 rounding error; this equality is exercised by the test suite.
+
+Every function that takes a coupling angle also takes an array of them and
+then returns one result per angle, stacked along the leading axes.
 """
 
 from __future__ import annotations
@@ -38,21 +41,28 @@ class CouplingRangeError(ValueError):
     """Raised when the coupling angle lies outside [0, pi]."""
 
 
-def check_coupling(eps: float) -> float:
-    """Validate the coupling angle; values outside [0, pi] are rejected."""
-    eps = float(eps)
-    if not 0.0 <= eps <= np.pi:
-        raise CouplingRangeError(f"coupling angle {eps} outside [0, pi]")
-    return eps
+def check_coupling(eps):
+    """Validate the coupling angle(s); values outside [0, pi] are rejected.
+
+    A scalar comes back as a float, anything else as a float array.
+    """
+    eps = np.asarray(eps, dtype=float)
+    bad = eps[~((0.0 <= eps) & (eps <= np.pi))]
+    if bad.size:
+        raise CouplingRangeError(f"coupling angle {bad[0]} outside [0, pi]")
+    return float(eps) if eps.ndim == 0 else eps
 
 
-def phase_kick(eps: float) -> np.ndarray:
+def phase_kick(eps) -> np.ndarray:
     """The conditional ancilla unitary ``diag(e^{i eps}, e^{-i eps})``."""
     eps = check_coupling(eps)
-    return np.diag([np.exp(1j * eps), np.exp(-1j * eps)])
+    kick = np.zeros(np.shape(eps) + (2, 2), dtype=complex)
+    kick[..., 0, 0] = np.exp(1j * eps)
+    kick[..., 1, 1] = np.exp(-1j * eps)
+    return kick
 
 
-def controlled_kick(axis, eps: float) -> np.ndarray:
+def controlled_kick(axis, eps) -> np.ndarray:
     """Total 4x4 unitary: identity on +axis, phase kick on -axis.
 
     ``U = P(+axis) x I + P(-axis) x phase_kick(eps)`` with the system slot
@@ -64,15 +74,15 @@ def controlled_kick(axis, eps: float) -> np.ndarray:
     return tensor(IDENTITY, IDENTITY) + tensor(projector(-axis), phase_kick(eps) - IDENTITY)
 
 
-def evolve_joint(rho, axis, eps: float) -> np.ndarray:
+def evolve_joint(rho, axis, eps) -> np.ndarray:
     """Joint system+ancilla state ``U (rho x |+><+|) U^dag``."""
     rho = check_density(rho, dim=2)
     u = controlled_kick(axis, eps)
     joint = tensor(rho, projector(PLUS_BLOCH))
-    return u @ joint @ u.conj().T
+    return u @ joint @ u.conj().swapaxes(-1, -2)
 
 
-def bob_state(rho, axis, eps: float) -> np.ndarray:
+def bob_state(rho, axis, eps) -> np.ndarray:
     """System state forwarded to Bob after the interaction.
 
     Equals ``Tr_ancilla evolve_joint(rho, axis, eps)``; implemented as the
@@ -83,12 +93,12 @@ def bob_state(rho, axis, eps: float) -> np.ndarray:
     eps = check_coupling(eps)
     p_plus = projector(np.asarray(axis, dtype=float))
     p_minus = IDENTITY - p_plus
-    ce = np.cos(eps)
+    ce = np.cos(eps)[..., None, None]
     dephased = p_plus @ rho @ p_plus + p_minus @ rho @ p_minus
     return (1.0 - ce) * dephased + ce * rho
 
 
-def charlie_state(rho, axis, eps: float) -> np.ndarray:
+def charlie_state(rho, axis, eps) -> np.ndarray:
     """Ancilla state kept by Charlie after the interaction.
 
     Equals ``Tr_system evolve_joint(rho, axis, eps)``: a mixture of the
@@ -100,7 +110,7 @@ def charlie_state(rho, axis, eps: float) -> np.ndarray:
     weight_minus = float(np.trace(p_minus @ rho).real)
     plus = projector(PLUS_BLOCH)
     v = phase_kick(eps)
-    return (1.0 - weight_minus) * plus + weight_minus * (v @ plus @ v.conj().T)
+    return (1.0 - weight_minus) * plus + weight_minus * (v @ plus @ v.conj().swapaxes(-1, -2))
 
 
 def bob_state_from_joint(rho, axis, eps: float) -> np.ndarray:

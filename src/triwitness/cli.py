@@ -13,7 +13,7 @@ Angles are radians everywhere. All numeric output is rounded to 12
 significant digits, which makes repeated runs byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-an angle outside [0, pi], a malformed scenario file).
+an angle outside [0, pi], a malformed or unreadable scenario file).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .scenario import (
     ProbTable,
     Scenario,
     build_table,
+    build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
     p_bob_given_z,
@@ -93,10 +94,14 @@ def sweep_row(table: ProbTable) -> dict:
     }
 
 
+def _tables(scenario: Scenario, grid) -> list[ProbTable]:
+    """One table per grid point, from a single engine call."""
+    return [ProbTable(probs=p, scenario=scenario, eps=float(e)) for p, e in zip(build_tables(scenario, grid), grid)]
+
+
 def run_sweep(scenario: Scenario, eps_start: float, eps_end: float, steps: int) -> list[dict]:
     """One sweep row per grid point, inclusive endpoints, uniform spacing."""
-    grid = np.linspace(eps_start, eps_end, steps)
-    return [sweep_row(build_table(scenario, float(e))) for e in grid]
+    return [sweep_row(t) for t in _tables(scenario, np.linspace(eps_start, eps_end, steps))]
 
 
 def _write_rows(rows: list[dict], columns: tuple, fmt: str, out) -> None:
@@ -138,11 +143,15 @@ def _check(name: str, epsilon: float, expected: float, actual: float, tolerance:
     }
 
 
-def _worst(name: str, grid, expected_fn, actual_fn, tolerance: float) -> dict:
-    """One report row carrying the worst grid point of a curve comparison."""
-    errs = [(abs(actual_fn(e) - expected_fn(e)), e) for e in grid]
-    err, eps = max(errs)
-    return _check(name, eps, expected_fn(eps), actual_fn(eps), tolerance)
+def _worst(name: str, grid, expected, actual, tolerance: float) -> dict:
+    """One report row carrying the worst grid point of a curve comparison.
+
+    ``expected`` and ``actual`` hold one value per grid point; of equally
+    bad points the last one is reported.
+    """
+    err = np.abs(np.asarray(actual) - np.asarray(expected))
+    i = len(grid) - 1 - int(np.argmax(err[::-1]))
+    return _check(name, grid[i], expected[i], actual[i], tolerance)
 
 
 def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dict], bool]:
@@ -154,135 +163,88 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
     scenario it is known to exceed the exact min-entropy in a window of
     coupling angles, which is reported informationally per scenario in the
     row named ``entropy_bound_excess_w1_scenario_info``.
+
+    Each canonical scenario's grid is built by one engine call; every check
+    then compares an expected array with an actual array over the grid.
     """
     grid = np.linspace(0.0, pi, grid_steps)
+    zero = np.zeros(grid_steps)
+    scenarios = {"w1": canonical_w1_scenario(), "w2": canonical_w2_scenario()}
+    probs = {label: build_tables(scn, grid) for label, scn in scenarios.items()}
     report: list[dict] = []
 
-    tables = {}
-    for label, scn in (("w1", canonical_w1_scenario()), ("w2", canonical_w2_scenario())):
-        tables[label] = {float(e): build_table(scn, float(e)) for e in grid}
+    def row(name, actual, expected=zero, tol=tolerance):
+        report.append(_worst(name, grid, expected, actual, tol))
+
+    def setting_probs(label, pair, z=None):
+        return wit.setting_probs(probs[label], scenarios[label].z_prior, pair, z)
 
     # the six analytic witness curves (z-conditioned ones for both z)
-    curve_specs = [
-        ("w1", "closed_form[w1_ab]", "w1_ab", lambda t: wit.w1(t, "ab").value),
-        ("w1", "closed_form[w1_ac]", "w1_ac", lambda t: wit.w1(t, "ac").value),
-        ("w2", "closed_form[w2_ab]", "w2_ab", lambda t: wit.w2(t, "ab").value),
-        ("w2", "closed_form[w2_ac]", "w2_ac", lambda t: wit.w2(t, "ac").value),
-    ]
+    curves = {
+        "w1_ab": wit.qrac_values(setting_probs("w1", "ab")),
+        "w1_ac": wit.qrac_values(setting_probs("w1", "ac")),
+        "w2_ab": wit.determinant_values(setting_probs("w2", "ab")),
+        "w2_ac": wit.determinant_values(setting_probs("w2", "ac")),
+    }
     for z in (0, 1):
-        curve_specs.append(("w1", f"closed_form[w1_ab_z{z}]", "w1_ab_z", lambda t, z=z: wit.w1_given_z(t, z).value))
-        curve_specs.append(("w2", f"closed_form[w2_ab_z{z}]", "w2_ab_z", lambda t, z=z: wit.w2_given_z(t, z).value))
-    for label, name, kind, sim in curve_specs:
-        report.append(
-            _worst(
-                name,
-                grid,
-                lambda e, kind=kind: wit.closed_form(kind, e),
-                lambda e, sim=sim, label=label: sim(tables[label][float(e)]),
-                tolerance,
-            )
-        )
+        curves[f"w1_ab_z{z}"] = wit.qrac_values(setting_probs("w1", "ab", z))
+        curves[f"w2_ab_z{z}"] = wit.determinant_values(setting_probs("w2", "ab", z))
+    for name, actual in curves.items():  # both z share one closed form, e.g. w1_ab_z
+        row(f"closed_form[{name}]", actual, wit.closed_form(name.rstrip("01"), grid))
 
     # special points
-    for name, eps, expected, actual in [
-        ("special[w1_ab@0]", 0.0, wit.QUANTUM_BOUND_W1, wit.w1(tables["w1"][0.0], "ab").value),
-        ("special[w1_ac@0]", 0.0, 0.0, wit.w1(tables["w1"][0.0], "ac").value),
-        ("special[w2_ab@0]", 0.0, 1.0, wit.w2(tables["w2"][0.0], "ab").value),
-        ("special[w2_ac@0]", 0.0, 0.0, wit.w2(tables["w2"][0.0], "ac").value),
-    ]:
-        report.append(_check(name, eps, expected, actual, tolerance))
-    t_mid = build_table(canonical_w1_scenario(), pi / 2.0)
+    for name, expected in (("w1_ab", wit.QUANTUM_BOUND_W1), ("w1_ac", 0.0), ("w2_ab", 1.0), ("w2_ac", 0.0)):
+        report.append(_check(f"special[{name}@0]", 0.0, expected, curves[name][0], tolerance))
+    t_mid = build_table(scenarios["w1"], pi / 2.0)
     report.append(
         _check("special[w1_ac@pi/2]", pi / 2.0, wit.QUANTUM_BOUND_W1, wit.w1(t_mid, "ac").value, tolerance)
     )
 
     # independent Bloch-algebra oracle for every marginal probability
-    for label in ("w1", "w2"):
-        scn = tables[label][0.0].scenario
+    for label, scn in scenarios.items():
+        bob = probs[label][..., 0, :].sum(axis=-1)  # (eps, x, y, z): p(b = +1 | x, y, z)
+        oracle = np.empty_like(bob)
+        for x, y, z in np.ndindex(4, 2, 2):
+            oracle[:, x, y, z] = p_bob_plus_closed_form(scn, grid, x, y, z)
+        row(f"bloch_oracle_bob[{label}_scenario]", np.abs(bob - oracle).max(axis=(1, 2, 3)))
+        charlie = setting_probs(label, "ac")  # (eps, x, z): p(c = +1 | x, z)
+        oracle = np.empty_like(charlie)
+        for x, z in np.ndindex(4, 2):
+            oracle[:, x, z] = p_charlie_plus_closed_form(scn, grid, x, z)
+        row(f"bloch_oracle_charlie[{label}_scenario]", np.abs(charlie - oracle).max(axis=(1, 2)))
 
-        def bob_err(e, label=label, scn=scn):
-            t = tables[label][float(e)]
-            return max(
-                abs(t.p_bob_plus_given_z(x, y, z) - p_bob_plus_closed_form(scn, float(e), x, y, z))
-                for x in range(4)
-                for y in range(2)
-                for z in range(2)
-            )
-
-        def charlie_err(e, label=label, scn=scn):
-            t = tables[label][float(e)]
-            return max(
-                abs(t.p_charlie_plus(x, z) - p_charlie_plus_closed_form(scn, float(e), x, z))
-                for x in range(4)
-                for z in range(2)
-            )
-
-        report.append(_worst(f"bloch_oracle_bob[{label}_scenario]", grid, lambda e: 0.0, bob_err, tolerance))
-        report.append(_worst(f"bloch_oracle_charlie[{label}_scenario]", grid, lambda e: 0.0, charlie_err, tolerance))
-
-    # table invariants
-    for label in ("w1", "w2"):
-
-        def norm_err(e, label=label):
-            return float(np.abs(tables[label][float(e)].probs.sum(axis=(3, 4)) - 1.0).max())
-
-        def nosig_err(e, label=label):
-            p = tables[label][float(e)].probs
-            return float(np.abs(p[:, 0].sum(axis=2) - p[:, 1].sum(axis=2)).max())
-
-        def marg_err(e, label=label):
-            t = tables[label][float(e)]
-            s = t.scenario
-            worst = 0.0
-            for x in range(4):
-                for z in range(2):
-                    worst = max(worst, np.abs(t.charlie_marginal(x, z) - p_charlie(s, float(e), x, z)).max())
-                    for y in range(2):
-                        worst = max(
-                            worst, np.abs(t.bob_marginal_given_z(x, y, z) - p_bob_given_z(s, float(e), x, y, z)).max()
-                        )
-            return worst
-
-        report.append(_worst(f"table_normalization[{label}_scenario]", grid, lambda e: 0.0, norm_err, tolerance))
-        report.append(_worst(f"no_signaling_to_charlie[{label}_scenario]", grid, lambda e: 0.0, nosig_err, tolerance))
-        report.append(_worst(f"marginal_consistency[{label}_scenario]", grid, lambda e: 0.0, marg_err, tolerance))
+    # table invariants, and the marginals against the marginal channels
+    for label, scn in scenarios.items():
+        p = probs[label]
+        row(f"table_normalization[{label}_scenario]", np.abs(p.sum(axis=(4, 5)) - 1.0).max(axis=(1, 2, 3)))
+        row(
+            f"no_signaling_to_charlie[{label}_scenario]",
+            np.abs(p[:, :, 0].sum(axis=3) - p[:, :, 1].sum(axis=3)).max(axis=(1, 2, 3)),
+        )
+        charlie, bob = p[:, :, 0].sum(axis=3), p.sum(axis=5)  # (eps, x, z, c), (eps, x, y, z, b)
+        worst = zero
+        for x, z in np.ndindex(4, 2):
+            worst = np.maximum(worst, np.abs(charlie[:, x, z] - p_charlie(scn, grid, x, z)).max(axis=1))
+            for y in range(2):
+                worst = np.maximum(worst, np.abs(bob[:, x, y, z] - p_bob_given_z(scn, grid, x, y, z)).max(axis=1))
+        row(f"marginal_consistency[{label}_scenario]", worst)
 
     # z-independence of the conditioned witnesses
-    report.append(
-        _worst(
-            "z_independence[w1_ab_z]",
-            grid,
-            lambda e: 0.0,
-            lambda e: abs(wit.w1_given_z(tables["w1"][float(e)], 0).value - wit.w1_given_z(tables["w1"][float(e)], 1).value),
-            tolerance,
-        )
-    )
-    report.append(
-        _worst(
-            "z_independence[w2_ab_z]",
-            grid,
-            lambda e: 0.0,
-            lambda e: abs(wit.w2_given_z(tables["w2"][float(e)], 0).value - wit.w2_given_z(tables["w2"][float(e)], 1).value),
-            tolerance,
-        )
-    )
+    for name in ("w1_ab_z", "w2_ab_z"):
+        row(f"z_independence[{name}]", np.abs(curves[f"{name}0"] - curves[f"{name}1"]))
 
     # entropy bound dominance holds throughout the determinant scenario
     def bound_excess(label):
-        def f(e):
-            t = tables[label][float(e)]
-            return max(0.0, rnd.hmin_global_bound(t) - rnd.hmin_global_exact(t))
+        tables = [ProbTable(probs=p, scenario=scenarios[label], eps=e) for p, e in zip(probs[label], grid)]
+        return np.array([max(0.0, rnd.hmin_global_bound(t) - rnd.hmin_global_exact(t)) for t in tables])
 
-        return f
-
-    report.append(_worst("entropy_bound_dominance[w2_scenario]", grid, lambda e: 0.0, bound_excess("w2"), tolerance))
+    row("entropy_bound_dominance[w2_scenario]", bound_excess("w2"))
     # informational only: the known window where the factorized expression
     # exceeds the exact value on the linear-witness scenario (paper-formula
     # defect; see README). Always marked as passing.
-    excess_row = _worst("entropy_bound_excess_w1_scenario_info", grid, lambda e: 0.0, bound_excess("w1"), np.inf)
-    report.append(excess_row)
+    row("entropy_bound_excess_w1_scenario_info", bound_excess("w1"), tol=np.inf)
 
-    passed = all(row["pass"] for row in report)
+    passed = all(r["pass"] for r in report)
     return report, passed
 
 
@@ -428,9 +390,9 @@ def _cmd_randomness(parser, args) -> int:
         _validate_range(parser, args)
         grid = [float(e) for e in np.linspace(args.eps_start, args.eps_end, args.steps)]
     rows = []
-    for e in grid:
-        report = rnd.entropy_report(build_table(scenario, e))
-        row = {"epsilon": e}
+    for table in _tables(scenario, grid):
+        report = rnd.entropy_report(table)
+        row = {"epsilon": table.eps}
         row.update({name: getattr(report, name) for name in report.__dataclass_fields__})
         rows.append(row)
     _write_rows(rows, tuple(rows[0]), args.format, args.out)
@@ -488,6 +450,8 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"{parser.prog}: error: scenario file is not valid JSON: {exc}", file=sys.stderr)
     except (CouplingRangeError, InvalidScenarioError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a --scenario-file that cannot be read or an --out that cannot be written
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
     return 2
 

@@ -21,9 +21,9 @@ from math import cos, isfinite, pi, sin
 import numpy as np
 
 from .channel import check_coupling
-from .scenario import Scenario, build_table, canonical_w1_scenario, canonical_w2_scenario
+from .scenario import Scenario, build_table, build_tables, canonical_w1_scenario, canonical_w2_scenario
 from .spheres import minimize, unit  # looked up here per search, so wrapping explore.minimize sees every call
-from .witness import QRAC_SIGNS, w1, w2
+from .witness import QRAC_SIGNS, determinant_values, qrac_values, setting_probs, w1, w2
 
 __all__ = [
     "OptimizeConfig",
@@ -206,14 +206,16 @@ def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
     )
 
 
-def _w1_pair_value(pair: str, eps: float) -> float:
-    return w1(build_table(canonical_w1_scenario(), eps), pair=pair).value
+def _canonical_curves(kind: str, eps) -> dict:
+    """{pair: witness of the canonical scenario at each angle}, from one engine call."""
+    s = canonical_w1_scenario() if kind == "w1" else canonical_w2_scenario()
+    values = qrac_values if kind == "w1" else determinant_values
+    probs = build_tables(s, eps)
+    return {pair: values(setting_probs(probs, s.z_prior, pair)) for pair in ("ab", "ac")}
 
 
-def _assert_monotone(f, lo: float, hi: float, increasing: bool, samples: int = 17) -> None:
-    xs = np.linspace(lo, hi, samples)
-    vals = [f(x) for x in xs]
-    diffs = np.diff(vals)
+def _assert_monotone(pair: str, lo: float, hi: float, increasing: bool, samples: int = 17) -> None:
+    diffs = np.diff(_canonical_curves("w1", np.linspace(lo, hi, samples))[pair])
     ok = np.all(diffs >= -1e-9) if increasing else np.all(diffs <= 1e-9)
     if not ok:
         raise RuntimeError("bracket is not monotone; bisection would be unsound")
@@ -249,23 +251,24 @@ def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     falls through 2 (bisection on [0, pi]); monotonicity of each bracket is
     asserted numerically first. For the determinant pair the whole open
     interval (0, pi) qualifies; positivity of both witnesses is spot-checked
-    at interior angles.
+    at interior angles. Each monotonicity check and the spot checks read
+    their angles from one engine call; the bisection steps are sequential.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if kind == "w1":
-        f_ac = lambda e: _w1_pair_value("ac", e) - 2.0
-        f_ab = lambda e: _w1_pair_value("ab", e) - 2.0
-        _assert_monotone(f_ac, 0.0, pi / 2.0, increasing=True)
-        _assert_monotone(f_ab, 0.0, pi, increasing=False)
+        f_ac = lambda e: float(_canonical_curves("w1", e)["ac"][0]) - 2.0
+        f_ab = lambda e: float(_canonical_curves("w1", e)["ab"][0]) - 2.0
+        _assert_monotone("ac", 0.0, pi / 2.0, increasing=True)
+        _assert_monotone("ab", 0.0, pi, increasing=False)
         lo = _bisect(f_ac, 0.0, pi / 2.0, tol)
         hi = _bisect(f_ab, 0.0, pi, tol)
         return Window(lo=lo, hi=hi, kind="w1")
     if kind == "w2":
-        for e in (0.1, pi / 2.0, 3.0):
-            table = build_table(canonical_w2_scenario(), e)
-            for pair in ("ab", "ac"):
-                if w2(table, pair=pair).value <= 0.0:
-                    raise RuntimeError(f"determinant witness for pair {pair} not positive at eps={e}")
+        spots = np.array([0.1, pi / 2.0, 3.0])
+        for pair, values in _canonical_curves("w2", spots).items():
+            bad = spots[values <= 0.0]
+            if bad.size:
+                raise RuntimeError(f"determinant witness for pair {pair} not positive at eps={bad[0]}")
         return Window(lo=0.0, hi=pi, kind="w2")
     raise ValueError(f"kind must be 'w1' or 'w2', got {kind!r}")

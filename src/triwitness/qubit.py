@@ -88,8 +88,15 @@ def density_to_bloch(rho) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with the system slot first and the ancilla second."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product with the system slot first and the ancilla second.
+
+    Leading axes of stacked matrices broadcast: a (..., m, n) stack and a
+    (..., p, q) stack give a (..., m p, n q) stack of products.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(m, keep: str) -> np.ndarray:

@@ -3,8 +3,11 @@
 A `Scenario` bundles the four sender preparations (Bloch vectors indexed by
 the two-bit input ``x``), Bob's two projective axes (input ``y``), Charlie's
 two interaction axes (input ``z``), the ancilla readout axis, and the prior
-over ``z``. `build_table` turns a scenario plus a coupling angle into the
-full conditional distribution p(b, c | x, y, z).
+over ``z``. `build_tables` is the probability engine: it turns a scenario
+plus a grid of coupling angles into the full conditional distribution
+p(b, c | x, y, z) at every angle, as one (E, 4, 2, 2, 2, 2) array built
+from one batched evolution and one einsum. `build_table` is its one-angle
+slice, wrapped as a validated `ProbTable`.
 
 Index conventions:
 
@@ -15,7 +18,9 @@ Index conventions:
 
 Probabilities are always computed from the exact interaction channel;
 `p_bob_plus_closed_form` and `p_charlie_plus_closed_form` provide the
-independent Bloch-algebra route used by the verification suite.
+independent Bloch-algebra route (the oracle) used by the verification
+suite. The oracles and the marginal-channel readers `p_bob_given_z` and
+`p_charlie` take one angle or an array of them.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from .qubit import NORM_TOL, bloch_to_density, partial_trace, projector
+from .qubit import NORM_TOL, bloch_to_density, projector, tensor
 
 __all__ = [
     "OUTCOMES",
@@ -41,6 +46,7 @@ __all__ = [
     "p_bob_given_z",
     "p_charlie",
     "build_table",
+    "build_tables",
     "p_bob_plus_closed_form",
     "p_charlie_plus_closed_form",
 ]
@@ -171,57 +177,66 @@ def canonical_w2_scenario() -> Scenario:
 # -- exact channel probabilities ----------------------------------------
 
 
-def p_bob_given_z(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
+def p_bob_given_z(s: Scenario, eps, x: int, y: int, z: int) -> np.ndarray:
     """Distribution of Bob's outcome for fixed z, from the marginal channel.
 
     Entry 0 is p(b = +1); entry 1 its complement, so the pair is exactly
-    normalized.
+    normalized. An array of angles gives one pair per angle, shape (..., 2).
     """
     rho = channel.bob_state(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    p_plus = float(np.trace(projector(s.bob_axes[y]) @ rho).real)
-    return np.array([p_plus, 1.0 - p_plus])
+    return _plus_minus(projector(s.bob_axes[y]), rho)
 
 
-def p_bob(s: Scenario, eps: float, x: int, y: int) -> np.ndarray:
+def p_bob(s: Scenario, eps, x: int, y: int) -> np.ndarray:
     """Bob's outcome distribution averaged over z with the scenario prior."""
     return s.z_prior[0] * p_bob_given_z(s, eps, x, y, 0) + s.z_prior[1] * p_bob_given_z(s, eps, x, y, 1)
 
 
-def p_charlie(s: Scenario, eps: float, x: int, z: int) -> np.ndarray:
+def p_charlie(s: Scenario, eps, x: int, z: int) -> np.ndarray:
     """Distribution of Charlie's ancilla readout (independent of y)."""
     rho = channel.charlie_state(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    p_plus = float(np.trace(projector(s.ancilla_axis) @ rho).real)
-    return np.array([p_plus, 1.0 - p_plus])
+    return _plus_minus(projector(s.ancilla_axis), rho)
 
 
-def _cell_projectors(bob_axis, anc_axis) -> tuple:
-    """The ancilla projector and the joint (b = +1, c) projectors of one cell."""
-    p_b = projector(bob_axis)
-    return projector(anc_axis), [np.kron(p_b, projector(c * np.asarray(anc_axis))) for c in OUTCOMES]
+def _plus_minus(proj: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    p_plus = np.trace(proj @ rho, axis1=-2, axis2=-1).real
+    return np.stack([p_plus, 1.0 - p_plus], axis=-1)
 
 
-def _joint_cell(rho_joint: np.ndarray, p_anc: np.ndarray, proj_pairs) -> np.ndarray:
-    """Joint (b, c) distribution for one measurement pair on a 4x4 state.
+def build_tables(s: Scenario, eps) -> np.ndarray:
+    """All 64 joint probabilities at every coupling angle of ``eps``.
 
-    The +1 row is obtained by direct projection; the -1 row is the
+    Returns shape (E, 4, 2, 2, 2, 2) indexed [eps, x, y, z, b, c] with
+    outcome index 0 for +1. The 8 joint states of each angle are evolved
+    in one batched ``U rho U^dag``, and every (b = +1, c) projection of
+    every state is read by one einsum.
+
+    The +1 row of Bob's outcome is the direct projection; the -1 row is the
     remainder against the (y-independent) ancilla marginal. Subtracting
     twice makes the split exact in IEEE arithmetic (one of the two parts
     always lands in the Sterbenz range of the marginal), so summing out b
     reproduces Charlie's marginal bit for bit regardless of y.
     """
-    rho_c = partial_trace(rho_joint, keep="ancilla")
-    m_plus = float(np.trace(p_anc @ rho_c).real)
-    m_plus = min(max(m_plus, 0.0), 1.0)
-    marg = (m_plus, 1.0 - m_plus)
+    eps = np.atleast_1d(channel.check_coupling(eps))
+    if eps.ndim != 1:
+        raise ValueError(f"eps must be a scalar or a 1-d grid, got shape {eps.shape}")
+    p_anc = [projector(c * s.ancilla_axis) for c in OUTCOMES]
+    readouts = tensor(np.stack([projector(nu) for nu in s.bob_axes])[:, None], np.stack(p_anc))  # (y, c, 4, 4)
+    rho = np.stack([bloch_to_density(r) for r in s.preparations])
+    states = tensor(rho, projector(channel.PLUS_BLOCH))  # (x, 4, 4)
+    u = np.stack([channel.controlled_kick(w, eps) for w in s.charlie_axes], axis=1)[:, :, None]
+    joint = u @ states @ u.conj().swapaxes(-1, -2)  # (eps, z, x, 4, 4)
 
-    out = np.empty((2, 2))
-    for ic, proj_pair in enumerate(proj_pairs):
-        top = float(np.trace(proj_pair @ rho_joint).real)
-        top = min(max(top, 0.0), marg[ic])
-        bottom = marg[ic] - top
-        out[0, ic] = marg[ic] - bottom  # within 1 ulp of the traced value
-        out[1, ic] = bottom
-    return out
+    # Charlie's marginal through the partial trace, as p_charlie reads it, so
+    # that an untouched |+> ancilla gives exactly 1 on its own axis
+    rho_anc = np.trace(joint.reshape(joint.shape[:3] + (2, 2, 2, 2)), axis1=3, axis2=5)
+    m_plus = np.clip(np.trace(p_anc[0] @ rho_anc, axis1=-2, axis2=-1).real, 0.0, 1.0)
+    marg = np.stack([m_plus, 1.0 - m_plus], axis=-1)[..., None, :]  # (eps, z, x, y, c)
+    top = np.einsum("ycij,ezxji->ezxyc", readouts, joint).real
+    top = np.minimum(np.maximum(top, 0.0), marg)
+    bottom = marg - top
+    probs = np.stack([marg - bottom, bottom], axis=-2)  # (eps, z, x, y, b, c)
+    return np.ascontiguousarray(probs.transpose(0, 2, 3, 1, 4, 5))
 
 
 def p_joint(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
@@ -229,8 +244,7 @@ def p_joint(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
 
     Returns a (2, 2) array indexed [b, c] with index 0 for outcome +1.
     """
-    rho_joint = channel.evolve_joint(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    return _joint_cell(rho_joint, *_cell_projectors(s.bob_axes[y], s.ancilla_axis))
+    return build_tables(s, eps)[0, x, y, z]
 
 
 @dataclass(frozen=True)
@@ -249,6 +263,8 @@ class ProbTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (4, 2, 2, 2, 2):
             raise InvalidScenarioError(f"probability table must have shape (4,2,2,2,2), got {probs.shape}")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidScenarioError("probability table has a non-finite entry")
         if probs.min() < 0.0 or probs.max() > 1.0 + PROB_TOL:
             raise InvalidScenarioError("probability table entries outside [0, 1]")
         sums = probs.sum(axis=(3, 4))
@@ -288,46 +304,44 @@ class ProbTable:
 
 def build_table(s: Scenario, eps: float) -> ProbTable:
     """Fill all 64 joint probabilities for one coupling angle."""
-    probs = np.empty((4, 2, 2, 2, 2))
-    cells = [_cell_projectors(s.bob_axes[y], s.ancilla_axis) for y in range(2)]  # shared by every (x, z)
-    for z in range(2):
-        for x in range(4):
-            rho_joint = channel.evolve_joint(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-            for y in range(2):
-                probs[x, y, z] = _joint_cell(rho_joint, *cells[y])
-    return ProbTable(probs=probs, scenario=s, eps=eps)
+    return ProbTable(probs=build_tables(s, [eps])[0], scenario=s, eps=eps)
 
 
 # -- independent Bloch-algebra route (verification oracle) ---------------
 
 
-def p_bob_plus_closed_form(s: Scenario, eps: float, x: int, y: int, z: int) -> float:
+def p_bob_plus_closed_form(s: Scenario, eps, x: int, y: int, z: int):
     """p(b = +1 | x, y, z) by plain vector algebra.
 
     Bob's Bloch vector after the interaction is the partial dephasing
     ``cos(eps) r + (1 - cos(eps)) (r . w) w`` toward Charlie's axis w.
+    A float angle gives a float, an array of angles an array.
     """
     eps = channel.check_coupling(eps)
     r = s.preparations[x]
     w = s.charlie_axes[z]
     nu = s.bob_axes[y]
-    ce = np.cos(eps)
+    ce = np.cos(eps)[..., None]
     r_after = ce * r + (1.0 - ce) * float(r @ w) * w
-    return 0.5 * (1.0 + float(nu @ r_after))
+    return _float_if_scalar(0.5 * (1.0 + r_after @ nu))
 
 
-def p_charlie_plus_closed_form(s: Scenario, eps: float, x: int, z: int) -> float:
+def p_charlie_plus_closed_form(s: Scenario, eps, x: int, z: int):
     """p(c = +1 | x, z) by plain vector algebra.
 
     The ancilla ends in a mixture of Bloch vectors (1, 0, 0) and
     (cos 2eps, -sin 2eps, 0), weighted by the overlap of the preparation
-    with the two half-spaces of Charlie's axis.
+    with the two half-spaces of Charlie's axis. A float angle gives a
+    float, an array of angles an array.
     """
     eps = channel.check_coupling(eps)
     r = s.preparations[x]
     w = s.charlie_axes[z]
     q_minus = 0.5 * (1.0 - float(w @ r))
-    anc = (1.0 - q_minus) * np.array([1.0, 0.0, 0.0]) + q_minus * np.array(
-        [np.cos(2.0 * eps), -np.sin(2.0 * eps), 0.0]
-    )
-    return 0.5 * (1.0 + float(s.ancilla_axis @ anc))
+    kicked = np.stack([np.cos(2.0 * eps), -np.sin(2.0 * eps), np.zeros_like(eps)], axis=-1)
+    anc = (1.0 - q_minus) * channel.PLUS_BLOCH + q_minus * kicked
+    return _float_if_scalar(0.5 * (1.0 + anc @ s.ancilla_axis))
+
+
+def _float_if_scalar(v):
+    return float(v) if np.ndim(v) == 0 else v

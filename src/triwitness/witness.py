@@ -12,6 +12,10 @@ x is the two-bit preparation label and s a binary measurement setting
   maximum 1. The signed determinant is returned; violation is judged on
   its magnitude because the sign flips under relabeling of settings.
 
+`setting_probs` reads those eight probabilities from a table or from a
+stack of tables, and `qrac_values` / `determinant_values` evaluate the
+witnesses on such arrays, so a whole coupling grid costs one call.
+
 `closed_form` evaluates the analytic curves of both witnesses for the
 canonical scenarios as functions of the coupling angle; the simulation is
 required to reproduce them to 1e-9, which the verification suite checks.
@@ -36,7 +40,10 @@ __all__ = [
     "WitnessValue",
     "Violation",
     "qrac_value",
+    "qrac_values",
     "determinant_value",
+    "determinant_values",
+    "setting_probs",
     "w1",
     "w2",
     "w1_given_z",
@@ -72,6 +79,8 @@ class WitnessValue:
             raise ValueError(f"kind must be 'w1' or 'w2', got {self.kind!r}")
         if self.pair not in ("ab", "ac"):
             raise ValueError(f"pair must be 'ab' or 'ac', got {self.pair!r}")
+        if not np.isfinite(self.value):
+            raise ValueError(f"{self.kind} value {self.value} is not finite")
         bound = QUANTUM_BOUND_W1 if self.kind == "w1" else QUANTUM_BOUND_W2
         if abs(self.value) > bound + VIOLATION_TOL:
             raise ValueError(f"{self.kind} value {self.value} exceeds the qubit bound {bound}")
@@ -83,9 +92,35 @@ class Violation:
     margin: float
 
 
+def qrac_values(p: np.ndarray) -> np.ndarray:
+    """Signed sum with the random-access signs over the last two axes.
+
+    ``p`` holds p(+1 | x, s) with shape (..., 4, 2); the terms are added in
+    (x, s) order.
+    """
+    total = 0.0
+    for x in range(4):
+        for s in range(2):
+            total = total + QRAC_SIGNS[x][s] * p[..., x, s]
+    return total
+
+
+def determinant_values(p: np.ndarray) -> np.ndarray:
+    """Signed determinant of the 2x2 matrix of x2-differences, for (..., 4, 2).
+
+    Row s, column x1: p(+1 | x1 0, s) - p(+1 | x1 1, s).
+    """
+    m = p[..., 0::2, :] - p[..., 1::2, :]  # (..., x1, s)
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 1, 0] * m[..., 0, 1]
+
+
+def _grid(p: Accessor) -> np.ndarray:
+    return np.array([[p(x, s) for s in range(2)] for x in range(4)])
+
+
 def qrac_value(p: Accessor) -> float:
     """Signed sum of the eight probabilities with the random-access signs."""
-    return float(sum(QRAC_SIGNS[x][s] * p(x, s) for x in range(4) for s in range(2)))
+    return float(qrac_values(_grid(p)))
 
 
 def determinant_value(p: Accessor) -> float:
@@ -93,32 +128,41 @@ def determinant_value(p: Accessor) -> float:
 
     Row s, column x1: p(+1 | x1 0, s) - p(+1 | x1 1, s).
     """
-    m = [[p(2 * x1, s) - p(2 * x1 + 1, s) for x1 in range(2)] for s in range(2)]
-    return float(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+    return float(determinant_values(_grid(p)))
 
 
-def _accessor(table: ProbTable, pair: str, z: int | None) -> Accessor:
+def setting_probs(probs: np.ndarray, z_prior, pair: str, z: int | None = None) -> np.ndarray:
+    """p(+1 | x, s) of one observer pair, shape (..., 4, 2).
+
+    ``probs`` is a table or a stack of tables, (..., 4, 2, 2, 2, 2) indexed
+    [x, y, z, b, c]. The AB pair averages Bob's outcome over z with
+    ``z_prior`` unless ``z`` fixes it; the AC pair reads Charlie's outcome,
+    whose setting is z itself (stored at y = 0).
+    """
     if pair == "ab":
+        bob = probs[..., 0, :].sum(axis=-1)  # (..., x, y, z)
         if z is None:
-            return lambda x, s: table.p_bob_plus(x, s)
+            return z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
         if z not in (0, 1):
             raise ValueError(f"z must be 0 or 1, got {z!r}")
-        return lambda x, s: table.p_bob_plus_given_z(x, s, z)
+        return bob[..., z]
     if pair == "ac":
         if z is not None:
             raise ValueError("the AC pair uses z itself as the setting; conditioning on z is meaningless")
-        return lambda x, s: table.p_charlie_plus(x, s)
+        return probs[..., 0, :, :, 0].sum(axis=-1)  # (..., x, z)
     raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
 
 
 def w1(table: ProbTable, pair: str = "ab", z: int | None = None) -> WitnessValue:
     """Linear witness between the sender and the selected observer."""
-    return WitnessValue(kind="w1", pair=pair, value=qrac_value(_accessor(table, pair, z)), z=z)
+    value = qrac_values(setting_probs(table.probs, table.scenario.z_prior, pair, z))
+    return WitnessValue(kind="w1", pair=pair, value=float(value), z=z)
 
 
 def w2(table: ProbTable, pair: str = "ab", z: int | None = None) -> WitnessValue:
     """Determinant witness between the sender and the selected observer."""
-    return WitnessValue(kind="w2", pair=pair, value=determinant_value(_accessor(table, pair, z)), z=z)
+    value = determinant_values(setting_probs(table.probs, table.scenario.z_prior, pair, z))
+    return WitnessValue(kind="w2", pair=pair, value=float(value), z=z)
 
 
 def w1_given_z(table: ProbTable, z: int) -> WitnessValue:
@@ -141,17 +185,19 @@ _CLOSED_FORMS = {
 }
 
 
-def closed_form(kind: str, eps: float) -> float:
+def closed_form(kind: str, eps):
     """Analytic witness value of the matching canonical scenario.
 
     ``kind`` is one of w1_ab, w1_ac, w2_ab, w2_ac (z-averaged curves) or
     w1_ab_z, w2_ab_z (the z-conditioned AB curves, identical for both z).
+    A float angle gives a float, an array of angles an array.
     """
     try:
         f = _CLOSED_FORMS[kind]
     except KeyError:
         raise ValueError(f"unknown closed form {kind!r}; expected one of {sorted(_CLOSED_FORMS)}") from None
-    return float(f(check_coupling(eps)))
+    value = f(check_coupling(eps))
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def violation(kind: str, value: float) -> Violation:

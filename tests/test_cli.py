@@ -158,6 +158,15 @@ def test_malformed_scenario_file_is_a_usage_error(tmp_path, capsys):
     assert_usage_error(["sweep", "--steps", "3", "--scenario-file", str(path)], capsys, "not valid JSON")
 
 
+def test_missing_scenario_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert_usage_error(["table", "--eps", "1", "--scenario-file", str(path)], capsys, "No such file")
+
+
+def test_directory_as_scenario_file_is_a_usage_error(tmp_path, capsys):
+    assert_usage_error(["sweep", "--steps", "3", "--scenario-file", str(tmp_path)], capsys, str(tmp_path))
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, triwitness.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
@@ -238,3 +247,48 @@ def test_run_verify_report_is_green_by_default():
     assert len(names) == len(set(names))
     for kind in ("w1_ab", "w1_ac", "w2_ab", "w2_ac", "w1_ab_z0", "w2_ab_z1"):
         assert f"closed_form[{kind}]" in names
+
+
+def count_calls(monkeypatch, module, name, counts):
+    """Replace module.name with a wrapper that records the calls in counts[name]."""
+    original = getattr(module, name)
+    counts.setdefault(name, [])
+
+    def counted(*args, **kwargs):
+        counts[name].append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts of build_tables, build_table and evolve_joint calls, wherever they are bound."""
+    from triwitness import channel, cli, explore, scenario
+
+    counts: dict = {}
+    for module in (scenario, cli, explore):
+        for name in ("build_tables", "build_table"):
+            if hasattr(module, name):
+                count_calls(monkeypatch, module, name, counts)
+    count_calls(monkeypatch, channel, "evolve_joint", counts)
+    return counts
+
+
+def test_sweep_builds_its_grid_in_one_engine_call(engine_calls):
+    rows = run_sweep(canonical_w2_scenario(), 0.0, np.pi, 101)
+    assert len(rows) == 101
+    assert len(engine_calls["build_tables"]) == 1
+    assert engine_calls["build_table"] == []
+
+
+def test_verify_makes_at_most_three_engine_calls(engine_calls):
+    _, passed = run_verify(101)
+    assert passed
+    assert len(engine_calls["build_tables"]) <= 3
+    assert engine_calls["evolve_joint"] == []
+
+
+def test_randomness_grid_builds_its_grid_in_one_engine_call(engine_calls, tmp_path):
+    assert main(["randomness", "--steps", "11", "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(engine_calls["build_tables"]) == 1

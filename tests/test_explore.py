@@ -240,3 +240,20 @@ def test_search_never_evaluates_above_the_qubit_bound(target, eps, seed):
     bound = BOUND[target.split("_")[0]]
     assert res.max_evaluated <= bound + 1e-9
     assert abs(res.value) <= bound + 1e-9
+
+
+def test_window_checks_read_each_sample_set_in_one_engine_call(monkeypatch):
+    calls = []
+    original = explore.build_tables
+
+    def counted(s, eps):
+        calls.append(np.size(eps))
+        return original(s, eps)
+
+    monkeypatch.setattr(explore, "build_tables", counted)
+    find_violation_window("w2")
+    assert calls == [3]  # the three spot checks
+    calls.clear()
+    find_violation_window("w1", tol=1e-12)
+    assert calls.count(17) == 2  # one call per monotonicity check
+    assert set(calls) == {1, 17}  # the rest are sequential bisection steps

@@ -1,0 +1,88 @@
+"""Invariants of the batched probability engine over random scenarios and grids."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triwitness.randomness import h_from_w1, h_from_w2
+from triwitness.scenario import (
+    Scenario,
+    build_table,
+    build_tables,
+    p_bob_plus_closed_form,
+    p_charlie_plus_closed_form,
+)
+from triwitness.witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, determinant_values, qrac_values, setting_probs
+
+TOL = 1e-12
+
+direction = (
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+    .map(np.array)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: v / np.linalg.norm(v))
+)
+preparation = st.tuples(direction, st.floats(0.0, 1.0)).map(lambda dr: dr[0] * dr[1])
+scenarios = st.builds(
+    lambda preps, bob, charlie, anc, p0: Scenario(preps, bob, charlie, anc, z_prior=(p0, 1.0 - p0)),
+    st.lists(preparation, min_size=4, max_size=4),
+    st.lists(direction, min_size=2, max_size=2),
+    st.lists(direction, min_size=2, max_size=2),
+    direction,
+    st.floats(0.0, 1.0),
+)
+grids = st.lists(st.floats(0.0, np.pi), min_size=1, max_size=12).map(np.array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_each_table_of_a_grid_is_the_single_angle_table(s, grid):
+    stack = build_tables(s, grid)
+    assert stack.shape == (len(grid), 4, 2, 2, 2, 2)
+    for i, e in enumerate(grid):
+        assert np.array_equal(stack[i], build_table(s, float(e)).probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_tables_are_normalized_distributions(s, grid):
+    p = build_tables(s, grid)
+    assert p.min() >= 0.0 and p.max() <= 1.0
+    assert np.abs(p.sum(axis=(4, 5)) - 1.0).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_no_signalling_to_charlie_holds_bitwise(s, grid):
+    p = build_tables(s, grid)
+    assert np.array_equal(p[:, :, 0].sum(axis=3), p[:, :, 1].sum(axis=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_marginals_match_the_bloch_oracles(s, grid):
+    p = build_tables(s, grid)
+    for x, y, z in np.ndindex(4, 2, 2):
+        bob = p[:, x, y, z, 0].sum(axis=-1)
+        assert np.abs(bob - p_bob_plus_closed_form(s, grid, x, y, z)).max() <= TOL
+    for x, z in np.ndindex(4, 2):
+        charlie = p[:, x, 0, z, :, 0].sum(axis=-1)
+        assert np.abs(charlie - p_charlie_plus_closed_form(s, grid, x, z)).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_witnesses_respect_the_qubit_bounds(s, grid):
+    p = build_tables(s, grid)
+    for pair in ("ab", "ac"):
+        plus = setting_probs(p, s.z_prior, pair)
+        assert np.abs(qrac_values(plus)).max() <= QUANTUM_BOUND_W1 + TOL
+        assert np.abs(determinant_values(plus)).max() <= QUANTUM_BOUND_W2 + TOL
+
+
+@given(st.floats(0.0, QUANTUM_BOUND_W1), st.floats(0.0, QUANTUM_BOUND_W1))
+def test_certified_rates_are_monotone_and_nonnegative(a, b):
+    lo, hi = sorted((a, b))
+    assert 0.0 <= h_from_w1(lo) <= h_from_w1(hi)
+    lo, hi = lo / QUANTUM_BOUND_W1, hi / QUANTUM_BOUND_W1
+    assert 0.0 <= h_from_w2(lo) <= h_from_w2(hi)

@@ -7,6 +7,8 @@ from triwitness.scenario import (
     InvalidScenarioError,
     ProbTable,
     Scenario,
+    build_table,
+    build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
     p_bob,
@@ -234,6 +236,55 @@ def test_probtable_rejects_malformed_tables():
         ProbTable(probs=bad, scenario=s, eps=0.1)
     with pytest.raises(InvalidScenarioError):
         ProbTable(probs=np.zeros((4, 2, 2, 2)), scenario=s, eps=0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_probtable_rejects_non_finite_entries(bad):
+    probs = build_table(canonical_w1_scenario(), 0.4).probs.copy()
+    probs[1, 0, 1, 0, 0] = bad
+    with pytest.raises(InvalidScenarioError):
+        ProbTable(probs=probs, scenario=canonical_w1_scenario(), eps=0.4)
+    with pytest.raises(InvalidScenarioError):
+        ProbTable(probs=np.full((4, 2, 2, 2, 2), bad), scenario=canonical_w1_scenario(), eps=0.4)
+
+
+@pytest.mark.parametrize("grid", [[0.1, np.pi + 0.1], [float("nan")], [[0.1, 0.2]]])
+def test_build_tables_rejects_angles_off_a_grid_in_zero_to_pi(grid):
+    with pytest.raises(ValueError):
+        build_tables(canonical_w1_scenario(), grid)
+
+
+def test_p_joint_and_build_table_are_slices_of_the_engine():
+    s = canonical_w1_scenario()
+    stack = build_tables(s, [0.2, 1.3])
+    assert stack.shape == (2, 4, 2, 2, 2, 2)
+    table = build_table(s, 1.3)
+    for x, y, z in np.ndindex(4, 2, 2):
+        assert np.array_equal(p_joint(s, 1.3, x, y, z), stack[1, x, y, z])
+        assert np.array_equal(table.joint(x, y, z), stack[1, x, y, z])
+
+
+def test_marginal_channels_broadcast_over_angles():
+    s = canonical_w2_scenario()
+    grid = np.linspace(0.0, np.pi, 7)
+    for x, y, z in np.ndindex(4, 2, 2):
+        bob, charlie = p_bob_given_z(s, grid, x, y, z), p_charlie(s, grid, x, z)
+        assert bob.shape == charlie.shape == (7, 2)
+        for i, e in enumerate(grid):
+            assert np.abs(bob[i] - p_bob_given_z(s, float(e), x, y, z)).max() < 1e-15
+            assert np.abs(charlie[i] - p_charlie(s, float(e), x, z)).max() < 1e-15
+
+
+def test_bloch_oracles_take_a_grid_and_return_floats_for_a_float():
+    s = canonical_w1_scenario()
+    grid = np.linspace(0.0, np.pi, 7)
+    assert type(p_bob_plus_closed_form(s, 0.3, 1, 0, 1)) is float
+    assert type(p_charlie_plus_closed_form(s, 0.3, 1, 1)) is float
+    bob, charlie = p_bob_plus_closed_form(s, grid, 1, 0, 1), p_charlie_plus_closed_form(s, grid, 1, 1)
+    assert bob.shape == charlie.shape == (7,)
+    for i, e in enumerate(grid):
+        assert abs(bob[i] - p_bob_plus_closed_form(s, float(e), 1, 0, 1)) < 1e-15
+        assert abs(charlie[i] - p_charlie_plus_closed_form(s, float(e), 1, 1)) < 1e-15
 
 
 def test_serialization_round_trip_is_lossless(tmp_path):

@@ -144,6 +144,14 @@ def test_witness_value_bounds_are_enforced():
         WitnessValue(kind="bell", pair="ab", value=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_witness_value_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError):
+        WitnessValue(kind="w1", pair="ab", value=bad)
+    with pytest.raises(ValueError):
+        WitnessValue(kind="w2", pair="ac", value=bad)
+
+
 def test_ac_pair_rejects_z_conditioning(w1_tables):
     with pytest.raises(ValueError):
         w1(w1_tables[0.0], pair="ac", z=0)
