@@ -9,7 +9,7 @@ The package is organized bottom-up:
 * `triwitness.witness`    the linear and determinant witnesses
 * `triwitness.randomness` min-entropies and certified rates
 * `triwitness.spheres`    batched minimization over unit vectors
-* `triwitness.explore`    settings optimization and window bisection
+* `triwitness.explore`    settings optimization and the exact w1 window
 * `triwitness.cli`        the command-line front end
 """
 

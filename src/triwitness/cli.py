@@ -13,7 +13,8 @@ Angles are radians everywhere. All numeric output is rounded to 12
 significant digits, which makes repeated runs byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-an angle outside [0, pi], a malformed or unreadable scenario file).
+an angle outside [0, pi], more than 10 001 grid points, a malformed or
+unreadable scenario file).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .scenario import (
     build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
+    check_probs,
     p_bob_given_z,
     p_bob_plus_closed_form,
     p_charlie,
@@ -60,6 +62,10 @@ SWEEP_COLUMNS = (
     "hmin_global_exact",
     "hmin_global_bound",
 )
+#: Largest accepted --steps, 100 times the default grid.
+MAX_STEPS = 10_001
+#: (pair, z) of the three readouts the sweep's witness columns use.
+_SWEEP_READOUTS = (("ab", None), ("ac", None), ("ab", 0))
 
 
 def _sci(v: float) -> str:
@@ -74,34 +80,42 @@ def _round_values(d: dict) -> dict:
     return {k: (_round12(v) if isinstance(v, float) else v) for k, v in d.items()}
 
 
+def _sweep_rows(probs: np.ndarray, z_prior, grid) -> list[dict]:
+    """Sweep rows of a stack of tables: every column is one array over the grid."""
+    plus = np.stack([wit.setting_probs(probs, z_prior, *readout) for readout in _SWEEP_READOUTS], axis=-3)
+    w1 = wit.check_witness("w1", wit.qrac_values(plus))  # (eps, readout)
+    w2 = wit.check_witness("w2", wit.determinant_values(plus))
+    entropies = rnd.entropy_values(probs, z_prior)
+    columns = {
+        "epsilon": np.asarray(grid, dtype=float),
+        "w1_ab": w1[:, 0],
+        "w1_ac": w1[:, 1],
+        "w2_ab": w2[:, 0],
+        "w2_ac": w2[:, 1],
+        "w1_ab_z0": w1[:, 2],
+        "w2_ab_z0": w2[:, 2],
+        "h_bob_w1": rnd.h_from_w1(w1[:, 2]),
+        "h_bob_w2": rnd.h_from_w2(w2[:, 2]),
+        "h_charlie": rnd.h_from_w1(w1[:, 1]),
+        "hmin_global_exact": entropies["hmin_global_exact"],
+        "hmin_global_bound": entropies["hmin_global_bound"],
+    }
+    return [dict(zip(SWEEP_COLUMNS, values)) for values in zip(*(columns[c].tolist() for c in SWEEP_COLUMNS))]
+
+
 def sweep_row(table: ProbTable) -> dict:
     """All sweep columns evaluated on one simulated table."""
-    w1_z0 = wit.w1_given_z(table, 0).value
-    w2_z0 = wit.w2_given_z(table, 0).value
-    return {
-        "epsilon": table.eps,
-        "w1_ab": wit.w1(table, "ab").value,
-        "w1_ac": wit.w1(table, "ac").value,
-        "w2_ab": wit.w2(table, "ab").value,
-        "w2_ac": wit.w2(table, "ac").value,
-        "w1_ab_z0": w1_z0,
-        "w2_ab_z0": w2_z0,
-        "h_bob_w1": rnd.h_from_w1(w1_z0),
-        "h_bob_w2": rnd.h_from_w2(w2_z0),
-        "h_charlie": rnd.h_from_w1(wit.w1(table, "ac").value),
-        "hmin_global_exact": rnd.hmin_global_exact(table),
-        "hmin_global_bound": rnd.hmin_global_bound(table),
-    }
-
-
-def _tables(scenario: Scenario, grid) -> list[ProbTable]:
-    """One table per grid point, from a single engine call."""
-    return [ProbTable(probs=p, scenario=scenario, eps=float(e)) for p, e in zip(build_tables(scenario, grid), grid)]
+    return _sweep_rows(table.probs[None], table.scenario.z_prior, [table.eps])[0]
 
 
 def run_sweep(scenario: Scenario, eps_start: float, eps_end: float, steps: int) -> list[dict]:
-    """One sweep row per grid point, inclusive endpoints, uniform spacing."""
-    return [sweep_row(t) for t in _tables(scenario, np.linspace(eps_start, eps_end, steps))]
+    """One sweep row per grid point, inclusive endpoints, uniform spacing.
+
+    The grid is built by one engine call and every table passes the checks
+    of `ProbTable`.
+    """
+    grid = np.linspace(eps_start, eps_end, steps)
+    return _sweep_rows(check_probs(build_tables(scenario, grid)), scenario.z_prior, grid)
 
 
 def _write_rows(rows: list[dict], columns: tuple, fmt: str, out) -> None:
@@ -235,8 +249,8 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
 
     # entropy bound dominance holds throughout the determinant scenario
     def bound_excess(label):
-        tables = [ProbTable(probs=p, scenario=scenarios[label], eps=e) for p, e in zip(probs[label], grid)]
-        return np.array([max(0.0, rnd.hmin_global_bound(t) - rnd.hmin_global_exact(t)) for t in tables])
+        figures = rnd.entropy_values(probs[label], scenarios[label].z_prior)
+        return np.maximum(0.0, figures["hmin_global_bound"] - figures["hmin_global_exact"])
 
     row("entropy_bound_dominance[w2_scenario]", bound_excess("w2"))
     # informational only: the known window where the factorized expression
@@ -259,14 +273,24 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 def _add_range_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-start", type=float, default=0.0, help="grid start, radians")
     p.add_argument("--eps-end", type=float, default=pi, help="grid end, radians")
-    p.add_argument("--steps", type=int, default=101, help="number of grid points (>= 2)")
+    p.add_argument("--steps", type=int, default=101, help=f"number of grid points (2 to {MAX_STEPS})")
+
+
+class UsageError(ValueError):
+    """A flag value the command cannot serve; reported as one stderr line, exit 2."""
+
+
+def _check_steps(parser: argparse.ArgumentParser, steps: int) -> None:
+    if steps < 2:
+        parser.error(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:  # checked before any grid is allocated
+        raise UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
 
 
 def _validate_range(parser: argparse.ArgumentParser, args) -> None:
     if not (0.0 <= args.eps_start < args.eps_end <= pi):
         parser.error(f"need 0 <= eps-start < eps-end <= pi, got [{args.eps_start}, {args.eps_end}]")
-    if args.steps < 2:
-        parser.error(f"steps must be >= 2, got {args.steps}")
+    _check_steps(parser, args.steps)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thresholds", help="locate the double-violation window")
     p.add_argument("--scenario", choices=("w1", "w2"), default="w1")
-    p.add_argument("--tol", type=float, default=1e-12, help="bisection interval tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-12, help="accepted; the window is solved in closed form, so it has no effect"
+    )
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -308,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: stdout)")
 
     p = sub.add_parser("verify", help="simulation-versus-closed-form gate")
-    p.add_argument("--steps", type=int, default=101, help="grid points (>= 2)")
+    p.add_argument("--steps", type=int, default=101, help=f"grid points (2 to {MAX_STEPS})")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="write the JSON report here as well")
     return parser
@@ -389,13 +415,11 @@ def _cmd_randomness(parser, args) -> int:
     else:
         _validate_range(parser, args)
         grid = [float(e) for e in np.linspace(args.eps_start, args.eps_end, args.steps)]
-    rows = []
-    for table in _tables(scenario, grid):
-        report = rnd.entropy_report(table)
-        row = {"epsilon": table.eps}
-        row.update({name: getattr(report, name) for name in report.__dataclass_fields__})
-        rows.append(row)
-    _write_rows(rows, tuple(rows[0]), args.format, args.out)
+    values = rnd.entropy_values(check_probs(build_tables(scenario, grid)), scenario.z_prior)
+    columns = [grid] + [v.tolist() for v in values.values()]
+    names = ("epsilon", *values)
+    rows = [dict(zip(names, row)) for row in zip(*columns)]
+    _write_rows(rows, names, args.format, args.out)
     return 0
 
 
@@ -418,8 +442,7 @@ def _cmd_table(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.steps < 2:
-        parser.error("steps must be >= 2")
+    _check_steps(parser, args.steps)
     _check_tol(parser, args.tol)
     report, passed = run_verify(grid_steps=args.steps, tolerance=args.tol)
     width = max(len(r["check_name"]) for r in report)
@@ -449,7 +472,7 @@ def main(argv=None) -> int:
         return handlers[args.command](parser, args)
     except json.JSONDecodeError as exc:
         print(f"{parser.prog}: error: scenario file is not valid JSON: {exc}", file=sys.stderr)
-    except (CouplingRangeError, InvalidScenarioError) as exc:
+    except (CouplingRangeError, InvalidScenarioError, UsageError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
     except OSError as exc:  # a --scenario-file that cannot be read or an --out that cannot be written
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

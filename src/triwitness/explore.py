@@ -1,4 +1,4 @@
-"""Numerical search over scenario settings and root finding in the coupling.
+"""Numerical search over scenario settings, and the exact witness curves in the coupling.
 
 `optimize_settings` certifies the qubit maxima of either witness at a fixed
 coupling angle by search. Every probability a witness reads is affine in
@@ -9,8 +9,10 @@ W2 = |m0 x m1| to be maximized over the unit measurement axes alone, all
 restarts as one numpy batch. The best settings are re-evaluated through
 the full density-matrix simulation.
 
-`find_violation_window` brackets and bisects the coupling angles where the
-double violation of the linear witness pair starts and ends.
+`find_violation_window` solves in closed form for the coupling angles where
+the double violation of the linear witness pair starts and ends: both
+witnesses are exact trigonometric curves in the coupling (`w1_curves`), so
+each endpoint is one arccos.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "OptimizeResult",
     "Window",
     "optimize_settings",
+    "w1_curves",
     "find_violation_window",
 ]
 
@@ -206,68 +209,91 @@ def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
     )
 
 
-def _canonical_curves(kind: str, eps) -> dict:
-    """{pair: witness of the canonical scenario at each angle}, from one engine call."""
-    s = canonical_w1_scenario() if kind == "w1" else canonical_w2_scenario()
-    values = qrac_values if kind == "w1" else determinant_values
-    probs = build_tables(s, eps)
-    return {pair: values(setting_probs(probs, s.z_prior, pair)) for pair in ("ab", "ac")}
+#: The coupling angles the exact w1 curves are read at.
+_CURVE_NODES = np.linspace(0.0, pi, 17)
+#: Trapezoid weights of the nodes. Under them the basis of each curve model,
+#: {1, cos eps} and {1, cos 2eps, sin 2eps}, is orthogonal on the nodes
+#: (discrete cosine and sine orthogonality), so each weighted least-squares
+#: coefficient is one weighted sum.
+_CURVE_WEIGHTS = np.concatenate([[0.5], np.ones(15), [0.5]])
+#: Largest misfit of the curve models at a node that still counts as exact.
+_CURVE_FIT_TOL = 1e-12
 
 
-def _assert_monotone(pair: str, lo: float, hi: float, increasing: bool, samples: int = 17) -> None:
-    diffs = np.diff(_canonical_curves("w1", np.linspace(lo, hi, samples))[pair])
-    ok = np.all(diffs >= -1e-9) if increasing else np.all(diffs <= 1e-9)
-    if not ok:
-        raise RuntimeError("bracket is not monotone; bisection would be unsound")
+#: The curve models' basis functions of the coupling, per observer pair.
+_CURVE_BASES = {
+    "ab": lambda eps: np.stack([np.ones_like(eps), np.cos(eps)], axis=-1),
+    "ac": lambda eps: np.stack([np.ones_like(eps), np.cos(2.0 * eps), np.sin(2.0 * eps)], axis=-1),
+}
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Root of a sign change of f on [lo, hi] by plain bisection."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def w1_curves(s: Scenario) -> dict:
+    """Exact linear-witness curves of ``s``: {pair: coefficients}.
+
+    W1_AB = ab[0] + ab[1] cos eps and W1_AC = ac[0] + ac[1] cos 2eps +
+    ac[2] sin 2eps: Bob's z-conditioned statistics are affine in cos eps
+    and Charlie's in (cos 2eps, sin 2eps), for any settings and prior. The
+    coefficients are fitted to the engine at 17 nodes read by one call;
+    they must reproduce every node to 1e-12, or RuntimeError is raised,
+    since the closed-form window endpoints rest on the models being exact.
+    """
+    probs = build_tables(s, _CURVE_NODES)
+    curves = {}
+    for pair, basis in _CURVE_BASES.items():
+        design = basis(_CURVE_NODES)
+        weighted = design * _CURVE_WEIGHTS[:, None]
+        values = qrac_values(setting_probs(probs, s.z_prior, pair))
+        coef = np.einsum("k,kj->j", values, weighted) / np.einsum("kj,kj->j", weighted, design)
+        misfit = np.abs(np.einsum("kj,j->k", design, coef) - values).max()
+        if misfit > _CURVE_FIT_TOL:
+            raise RuntimeError(f"W1_{pair.upper()} misses its curve model by {misfit:.3g} at a node")
+        curves[pair] = coef
+    return curves
+
+
+def _w1_window(curves: dict) -> Window:
+    """Where W1_AC climbs through 2 in [0, pi/2] and W1_AB falls through 2.
+
+    W1_AB = a0 + a1 cos eps falls through 2 at arccos((2 - a0) / a1) when
+    a1 > 0. W1_AC = c0 + r cos(2 eps - phi), with r = |(c1, c2)| and
+    phi = atan2(c2, c1), climbs through 2 where 2 eps - phi = -arccos((2 - c0) / r).
+    """
+    (a0, a1), (c0, c1, c2) = curves["ab"], curves["ac"]
+    r = float(np.hypot(c1, c2))
+    if not (a1 > 0.0 and -1.0 <= (2.0 - a0) / a1 <= 1.0):
+        raise RuntimeError("W1_AB does not fall through 2 on [0, pi]")
+    if not (r > 0.0 and -1.0 <= (2.0 - c0) / r <= 1.0):
+        raise RuntimeError("W1_AC does not cross 2")
+    hi = float(np.arccos((2.0 - a0) / a1))
+    lo = float((np.arctan2(c2, c1) - np.arccos((2.0 - c0) / r)) / 2.0 % pi)
+    if lo > pi / 2.0:
+        raise RuntimeError("W1_AC does not climb through 2 on [0, pi/2]")
+    return Window(lo=lo, hi=hi, kind="w1")
 
 
 def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     """Coupling angles with both observer pairs above the classical bound.
 
     For the linear pair the window opens where the AC witness climbs
-    through 2 (bisection on [0, pi/2]) and closes where the AB witness
-    falls through 2 (bisection on [0, pi]); monotonicity of each bracket is
-    asserted numerically first. For the determinant pair the whole open
-    interval (0, pi) qualifies; positivity of both witnesses is spot-checked
-    at interior angles. Each monotonicity check and the spot checks read
-    their angles from one engine call; the bisection steps are sequential.
+    through 2 in [0, pi/2] and closes where the AB witness falls through 2;
+    both endpoints are solved in closed form from the exact curves of
+    `w1_curves`, read from one engine call. For the determinant pair the
+    whole open interval (0, pi) qualifies; positivity of both witnesses is
+    spot-checked at three interior angles, read from one engine call.
+
+    ``tol`` is validated and kept for compatibility; it no longer changes
+    the result, which is exact to rounding.
     """
     if not (isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if kind == "w1":
-        f_ac = lambda e: float(_canonical_curves("w1", e)["ac"][0]) - 2.0
-        f_ab = lambda e: float(_canonical_curves("w1", e)["ab"][0]) - 2.0
-        _assert_monotone("ac", 0.0, pi / 2.0, increasing=True)
-        _assert_monotone("ab", 0.0, pi, increasing=False)
-        lo = _bisect(f_ac, 0.0, pi / 2.0, tol)
-        hi = _bisect(f_ab, 0.0, pi, tol)
-        return Window(lo=lo, hi=hi, kind="w1")
+        return _w1_window(w1_curves(canonical_w1_scenario()))
     if kind == "w2":
+        s = canonical_w2_scenario()
         spots = np.array([0.1, pi / 2.0, 3.0])
-        for pair, values in _canonical_curves("w2", spots).items():
-            bad = spots[values <= 0.0]
+        probs = build_tables(s, spots)
+        for pair in ("ab", "ac"):
+            bad = spots[determinant_values(setting_probs(probs, s.z_prior, pair)) <= 0.0]
             if bad.size:
                 raise RuntimeError(f"determinant witness for pair {pair} not positive at eps={bad[0]}")
         return Window(lo=0.0, hi=pi, kind="w2")

@@ -4,6 +4,11 @@ Exact min-entropies are read off a probability table; certified rates come
 from the closed-form relations between a witness value and the adversary's
 best guessing probability. All entropies are in bits.
 
+`entropy_values` evaluates every figure on a table or on a whole stack of
+tables (..., 4, 2, 2, 2, 2) with array operations, so a coupling grid costs
+one call; `entropy_report` and the `hmin_*` functions are its one-table
+slices, and `h_from_w1` / `h_from_w2` take one witness value or an array.
+
 Certification below the classical bound is defined as zero: a linear
 witness at or under 2 certifies nothing, so `h_from_w1` clamps there
 instead of evaluating the formula outside its meaningful domain.
@@ -25,8 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_coupling
-from .scenario import ProbTable
-from .witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, VIOLATION_TOL, closed_form, w1, w1_given_z, w2_given_z
+from .scenario import ProbTable, _float_if_scalar
+from .witness import (
+    QUANTUM_BOUND_W1,
+    QUANTUM_BOUND_W2,
+    VIOLATION_TOL,
+    check_witness,
+    closed_form,
+    determinant_values,
+    qrac_values,
+    setting_probs,
+)
 
 __all__ = [
     "SuperQuantumWitnessError",
@@ -38,6 +52,7 @@ __all__ = [
     "h_from_w2",
     "bob_certified",
     "charlie_certified",
+    "entropy_values",
     "entropy_report",
 ]
 
@@ -46,21 +61,53 @@ class SuperQuantumWitnessError(ValueError):
     """Raised when a witness value exceeds the qubit maximum."""
 
 
-def _bits(guess_prob: float) -> float:
-    # Guard (1 + 1e-16)-style rounding; entropies are nonnegative.
-    return max(0.0, -float(np.log2(guess_prob)))
+def _bits(guess_prob):
+    # Guard (1 + 1e-16)-style rounding; entropies are nonnegative, and
+    # adding 0.0 turns a -0.0 into 0.0.
+    return np.maximum(0.0, -np.log2(guess_prob)) + 0.0
+
+
+def _guesses(probs: np.ndarray, z_prior) -> np.ndarray:
+    """Best guessing probabilities behind the three exact figures, (..., 4).
+
+    Entries: the joint (b, c) guess, Bob's z-averaged guess and Charlie's
+    guess (each averaged over the inputs), and Bob's worst-case z-known
+    guess. Both outcomes of each marginal are summed from the table as
+    `witness.setting_probs` sums the +1 outcome, so neither is taken as a
+    complement.
+    """
+    bob_z = probs.sum(axis=-1)  # (..., x, y, z, b)
+    bob = z_prior[0] * bob_z[..., 0, :] + z_prior[1] * bob_z[..., 1, :]  # (..., x, y, b)
+    charlie = probs[..., 0, :, :, :].sum(axis=-2)  # (..., x, z, c)
+    return np.stack(
+        [
+            probs.max(axis=(-2, -1)).sum(axis=(-3, -2, -1)) / 16.0,
+            bob.max(axis=-1).sum(axis=(-2, -1)) / 8.0,
+            charlie.max(axis=-1).sum(axis=(-2, -1)) / 8.0,
+            bob_z.max(axis=(-4, -3, -2, -1)),
+        ],
+        axis=-1,
+    )
+
+
+def _exact_figures(probs: np.ndarray, z_prior) -> dict:
+    """The exact global, local and factorized min-entropies, arrays (...)."""
+    bits = _bits(_guesses(probs, z_prior))
+    return {
+        "hmin_global_exact": bits[..., 0],
+        "hmin_local_bob_exact": bits[..., 1],
+        "hmin_global_bound": bits[..., 2] + bits[..., 3],
+    }
 
 
 def hmin_global_exact(table: ProbTable) -> float:
     """Global min-entropy of (b, c): average best joint guess over inputs."""
-    guess = np.mean(table.probs.max(axis=(3, 4)))
-    return _bits(guess)
+    return float(_exact_figures(table.probs, table.scenario.z_prior)["hmin_global_exact"])
 
 
 def hmin_local_bob_exact(table: ProbTable) -> float:
     """Local min-entropy of b from the z-averaged marginal."""
-    guess = np.mean([max(table.bob_marginal(x, y)) for x in range(4) for y in range(2)])
-    return _bits(guess)
+    return float(_exact_figures(table.probs, table.scenario.z_prior)["hmin_local_bob_exact"])
 
 
 def hmin_global_bound(table: ProbTable) -> float:
@@ -69,42 +116,49 @@ def hmin_global_bound(table: ProbTable) -> float:
     See the module docstring: this is not a true lower bound on
     `hmin_global_exact` for every coupling angle.
     """
-    guess_charlie = np.mean([max(table.charlie_marginal(x, z)) for x in range(4) for z in range(2)])
-    guess_bob_worst = table.probs.sum(axis=4).max()
-    return _bits(guess_charlie) + _bits(guess_bob_worst)
+    return float(_exact_figures(table.probs, table.scenario.z_prior)["hmin_global_bound"])
 
 
-def _certified_bits(ratio: float) -> float:
+def _certified_bits(ratio):
     # ratio in [0, 1]: normalized distance of the witness from its maximum.
-    inner = max(1.0 - ratio * ratio, 0.0)
+    inner = np.maximum(1.0 - ratio * ratio, 0.0)
     guess = 0.5 + 0.5 * np.sqrt((1.0 + np.sqrt(inner)) / 2.0)
     return _bits(guess)
 
 
-def h_from_w1(w: float) -> float:
+def _finite(kind: str, w) -> np.ndarray:
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"{kind} value {w[~np.isfinite(w)][0]} is not finite")
+    return w
+
+
+def h_from_w1(w):
     """Certified bits of Bob's outcome from a linear witness value.
 
     Zero at or below the classical bound 2; the qubit maximum 2*sqrt(2)
-    certifies -log2((2 + sqrt(2))/4) ~ 0.2284 bits.
+    certifies -log2((2 + sqrt(2))/4) ~ 0.2284 bits. A float gives a float,
+    an array of values an array.
     """
-    w = float(w)
-    if w > QUANTUM_BOUND_W1 + VIOLATION_TOL:
-        raise SuperQuantumWitnessError(f"w1 value {w} exceeds the qubit maximum {QUANTUM_BOUND_W1}")
-    if w <= 2.0:
-        return 0.0
-    return _certified_bits(min((w * w - 4.0) / 4.0, 1.0))
+    w = _finite("w1", w)
+    over = w[w > QUANTUM_BOUND_W1 + VIOLATION_TOL]
+    if over.size:
+        raise SuperQuantumWitnessError(f"w1 value {over[0]} exceeds the qubit maximum {QUANTUM_BOUND_W1}")
+    bits = _certified_bits(np.minimum((w * w - 4.0) / 4.0, 1.0))
+    return _float_if_scalar(np.where(w <= 2.0, 0.0, bits))
 
 
-def h_from_w2(w: float) -> float:
+def h_from_w2(w):
     """Certified bits from a determinant witness; uses the magnitude.
 
     The relation depends on w^2 only, so the determinant's labeling sign
-    is irrelevant.
+    is irrelevant. A float gives a float, an array of values an array.
     """
-    a = abs(float(w))
-    if a > QUANTUM_BOUND_W2 + VIOLATION_TOL:
-        raise SuperQuantumWitnessError(f"w2 magnitude {a} exceeds the qubit maximum {QUANTUM_BOUND_W2}")
-    return _certified_bits(min(a, 1.0))
+    a = np.abs(_finite("w2", w))
+    over = a[a > QUANTUM_BOUND_W2 + VIOLATION_TOL]
+    if over.size:
+        raise SuperQuantumWitnessError(f"w2 magnitude {over[0]} exceeds the qubit maximum {QUANTUM_BOUND_W2}")
+    return _float_if_scalar(_certified_bits(np.minimum(a, 1.0)))
 
 
 def bob_certified(eps: float, kind: str) -> float:
@@ -145,18 +199,29 @@ class EntropyReport:
                 raise ValueError(f"{name} is negative")
 
 
-def entropy_report(table: ProbTable) -> EntropyReport:
-    """Evaluate every entropy figure on one simulated table.
+def entropy_values(probs: np.ndarray, z_prior) -> dict:
+    """Every `EntropyReport` figure of a table or a stack of tables.
 
-    Certified rates use the simulated witness values. Bob's rates take the
-    worse of the two z-conditioned witnesses (the adversary knows z); the
-    canonical scenarios make both z values identical.
+    ``probs`` has shape (..., 4, 2, 2, 2, 2); each figure comes back as an
+    array of shape (...), keyed by its `EntropyReport` field name in field
+    order. Certified rates use the simulated witness values, which pass the
+    checks of `WitnessValue`. Bob's rates take the worse of the two
+    z-conditioned witnesses (the adversary knows z); the canonical
+    scenarios make both z values identical.
     """
-    return EntropyReport(
-        hmin_global_exact=hmin_global_exact(table),
-        hmin_local_bob_exact=hmin_local_bob_exact(table),
-        hmin_global_bound=hmin_global_bound(table),
-        h_bob_certified_w1=min(h_from_w1(w1_given_z(table, z).value) for z in (0, 1)),
-        h_bob_certified_w2=min(h_from_w2(w2_given_z(table, z).value) for z in (0, 1)),
-        h_charlie_certified=h_from_w1(w1(table, pair="ac").value),
-    )
+    readouts = (("ab", 0), ("ab", 1), ("ac", None))
+    plus = np.stack([setting_probs(probs, z_prior, pair, z) for pair, z in readouts], axis=-3)
+    h1 = h_from_w1(check_witness("w1", qrac_values(plus)))  # (..., readout)
+    h2 = h_from_w2(check_witness("w2", determinant_values(plus[..., :2, :, :])))
+    figures = _exact_figures(probs, z_prior)
+    figures["h_bob_certified_w1"] = np.minimum(h1[..., 0], h1[..., 1])
+    figures["h_bob_certified_w2"] = np.minimum(h2[..., 0], h2[..., 1])
+    figures["h_charlie_certified"] = h1[..., 2]
+    return figures
+
+
+def entropy_report(table: ProbTable) -> EntropyReport:
+    """Every entropy figure of one simulated table: the one-table slice of
+    `entropy_values`."""
+    values = entropy_values(table.probs, table.scenario.z_prior)
+    return EntropyReport(**{name: float(v) for name, v in values.items()})

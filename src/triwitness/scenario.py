@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from .qubit import NORM_TOL, bloch_to_density, projector, tensor
+from .qubit import IDENTITY, NORM_TOL, PAULI, bloch_to_density, projector, tensor
 
 __all__ = [
     "OUTCOMES",
@@ -47,6 +47,7 @@ __all__ = [
     "p_charlie",
     "build_table",
     "build_tables",
+    "check_probs",
     "p_bob_plus_closed_form",
     "p_charlie_plus_closed_form",
 ]
@@ -56,6 +57,8 @@ OUTCOMES = (1, -1)
 
 #: Probability sums must match 1 within this much.
 PROB_TOL = 1e-12
+#: Shape of one table, indexed [x, y, z, b, c].
+TABLE_SHAPE = (4, 2, 2, 2, 2)
 
 
 class InvalidScenarioError(ValueError):
@@ -207,9 +210,11 @@ def build_tables(s: Scenario, eps) -> np.ndarray:
     """All 64 joint probabilities at every coupling angle of ``eps``.
 
     Returns shape (E, 4, 2, 2, 2, 2) indexed [eps, x, y, z, b, c] with
-    outcome index 0 for +1. The 8 joint states of each angle are evolved
-    in one batched ``U rho U^dag``, and every (b = +1, c) projection of
-    every state is read by one einsum.
+    outcome index 0 for +1. Every state and projector of the set-up is one
+    rank-1 operator (I + v.sigma)/2, built together by one contraction with
+    the Pauli vector (the scenario has already checked every v). The 8 joint
+    states of each angle are evolved in one batched ``U rho U^dag``, and
+    every (b = +1, c) projection of every state is read by one einsum.
 
     The +1 row of Bob's outcome is the direct projection; the -1 row is the
     remainder against the (y-independent) ancilla marginal. Subtracting
@@ -220,11 +225,18 @@ def build_tables(s: Scenario, eps) -> np.ndarray:
     eps = np.atleast_1d(channel.check_coupling(eps))
     if eps.ndim != 1:
         raise ValueError(f"eps must be a scalar or a 1-d grid, got shape {eps.shape}")
-    p_anc = [projector(c * s.ancilla_axis) for c in OUTCOMES]
-    readouts = tensor(np.stack([projector(nu) for nu in s.bob_axes])[:, None], np.stack(p_anc))  # (y, c, 4, 4)
-    rho = np.stack([bloch_to_density(r) for r in s.preparations])
-    states = tensor(rho, projector(channel.PLUS_BLOCH))  # (x, 4, 4)
-    u = np.stack([channel.controlled_kick(w, eps) for w in s.charlie_axes], axis=1)[:, :, None]
+    vectors = np.concatenate(
+        [s.preparations, s.bob_axes, -s.charlie_axes, [s.ancilla_axis, -s.ancilla_axis, channel.PLUS_BLOCH]]
+    )
+    ops = (IDENTITY + np.einsum("ki,ijl->kjl", vectors, PAULI)) / 2.0  # (11, 2, 2)
+    rho, bob, minus_w, p_anc, plus = ops[:4], ops[4:6], ops[6:8], ops[8:10], ops[10]
+    readouts = tensor(bob[:, None], p_anc)  # (y, c, 4, 4)
+    states = tensor(rho, plus)  # (x, 4, 4)
+    # controlled kick I x I + P(-w) x diag(e^{i eps} - 1, e^{-i eps} - 1): exactly I at eps = 0
+    kick = np.zeros(eps.shape + (2, 2), dtype=complex)
+    kick[:, 0, 0] = np.exp(1j * eps) - 1.0
+    kick[:, 1, 1] = np.exp(-1j * eps) - 1.0
+    u = (np.eye(4) + tensor(minus_w, kick[:, None]))[:, :, None]  # (eps, z, 1, 4, 4)
     joint = u @ states @ u.conj().swapaxes(-1, -2)  # (eps, z, x, 4, 4)
 
     # Charlie's marginal through the partial trace, as p_charlie reads it, so
@@ -247,6 +259,25 @@ def p_joint(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
     return build_tables(s, eps)[0, x, y, z]
 
 
+def check_probs(probs) -> np.ndarray:
+    """The checks of `ProbTable` on a table or a stack (..., 4, 2, 2, 2, 2).
+
+    Every entry must be finite and in [0, 1], and every (b, c) cell must
+    sum to 1. Returns the tables as a float array.
+    """
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape[-5:] != TABLE_SHAPE:
+        raise InvalidScenarioError(f"probability table must have shape (4,2,2,2,2), got {probs.shape[-5:]}")
+    if not np.all(np.isfinite(probs)):
+        raise InvalidScenarioError("probability table has a non-finite entry")
+    if probs.min() < 0.0 or probs.max() > 1.0 + PROB_TOL:
+        raise InvalidScenarioError("probability table entries outside [0, 1]")
+    sums = probs.sum(axis=(-2, -1))
+    if np.abs(sums - 1.0).max() > PROB_TOL:
+        raise InvalidScenarioError("probability table cells do not sum to 1")
+    return probs
+
+
 @dataclass(frozen=True)
 class ProbTable:
     """The complete conditional distribution p(b, c | x, y, z).
@@ -261,16 +292,9 @@ class ProbTable:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (4, 2, 2, 2, 2):
+        if probs.shape != TABLE_SHAPE:
             raise InvalidScenarioError(f"probability table must have shape (4,2,2,2,2), got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidScenarioError("probability table has a non-finite entry")
-        if probs.min() < 0.0 or probs.max() > 1.0 + PROB_TOL:
-            raise InvalidScenarioError("probability table entries outside [0, 1]")
-        sums = probs.sum(axis=(3, 4))
-        if np.abs(sums - 1.0).max() > PROB_TOL:
-            raise InvalidScenarioError("probability table cells do not sum to 1")
-        probs = probs.copy()
+        probs = check_probs(probs).copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "eps", float(self.eps))

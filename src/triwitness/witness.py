@@ -14,7 +14,8 @@ x is the two-bit preparation label and s a binary measurement setting
 
 `setting_probs` reads those eight probabilities from a table or from a
 stack of tables, and `qrac_values` / `determinant_values` evaluate the
-witnesses on such arrays, so a whole coupling grid costs one call.
+witnesses on such arrays, so a whole coupling grid costs one call;
+`check_witness` applies the checks of `WitnessValue` to such arrays.
 
 `closed_form` evaluates the analytic curves of both witnesses for the
 canonical scenarios as functions of the coupling angle; the simulation is
@@ -39,6 +40,7 @@ __all__ = [
     "VIOLATION_TOL",
     "WitnessValue",
     "Violation",
+    "check_witness",
     "qrac_value",
     "qrac_values",
     "determinant_value",
@@ -75,15 +77,28 @@ class WitnessValue:
     z: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("w1", "w2"):
-            raise ValueError(f"kind must be 'w1' or 'w2', got {self.kind!r}")
         if self.pair not in ("ab", "ac"):
             raise ValueError(f"pair must be 'ab' or 'ac', got {self.pair!r}")
-        if not np.isfinite(self.value):
-            raise ValueError(f"{self.kind} value {self.value} is not finite")
-        bound = QUANTUM_BOUND_W1 if self.kind == "w1" else QUANTUM_BOUND_W2
-        if abs(self.value) > bound + VIOLATION_TOL:
-            raise ValueError(f"{self.kind} value {self.value} exceeds the qubit bound {bound}")
+        check_witness(self.kind, self.value)
+
+
+def check_witness(kind: str, values):
+    """The checks of `WitnessValue` on one value or an array of them.
+
+    Every value must be finite and within the qubit bound of ``kind``.
+    Returns the values as a float array.
+    """
+    if kind not in ("w1", "w2"):
+        raise ValueError(f"kind must be 'w1' or 'w2', got {kind!r}")
+    values = np.asarray(values, dtype=float)
+    bound = QUANTUM_BOUND_W1 if kind == "w1" else QUANTUM_BOUND_W2
+    ok = np.abs(values) <= bound + VIOLATION_TOL  # False for NaN and +-inf as well
+    if not ok.all():
+        bad = values[~ok][0]
+        if not np.isfinite(bad):
+            raise ValueError(f"{kind} value {bad} is not finite")
+        raise ValueError(f"{kind} value {bad} exceeds the qubit bound {bound}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -98,11 +113,10 @@ def qrac_values(p: np.ndarray) -> np.ndarray:
     ``p`` holds p(+1 | x, s) with shape (..., 4, 2); the terms are added in
     (x, s) order.
     """
-    total = 0.0
-    for x in range(4):
-        for s in range(2):
-            total = total + QRAC_SIGNS[x][s] * p[..., x, s]
-    return total
+    return (
+        p[..., 0, 0] + p[..., 0, 1] + p[..., 1, 0] - p[..., 1, 1]
+        - p[..., 2, 0] + p[..., 2, 1] - p[..., 3, 0] - p[..., 3, 1]
+    )
 
 
 def determinant_values(p: np.ndarray) -> np.ndarray:

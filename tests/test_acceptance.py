@@ -83,7 +83,7 @@ def test_criterion_02_double_violation_window():
         assert abs(ab - closed_form("w1_ab", 1.0)) < 1e-9 and ab > 2.0
         assert abs(ac - closed_form("w1_ac", 1.0)) < 1e-9 and ac > 2.0
 
-    _report(2, "bisection finds the double-violation window endpoints to 1e-9", body)
+    _report(2, "the exact witness curves give the double-violation window endpoints to 1e-9", body)
 
 
 def test_criterion_03_z_conditioned_witnesses(grid101, w1_tables, w2_tables):

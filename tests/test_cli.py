@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from triwitness.cli import SWEEP_COLUMNS, main, run_sweep, run_verify
+from triwitness.cli import MAX_STEPS, SWEEP_COLUMNS, main, run_sweep, run_verify
 from triwitness.scenario import canonical_w2_scenario
 
 
@@ -292,3 +293,34 @@ def test_verify_makes_at_most_three_engine_calls(engine_calls):
 def test_randomness_grid_builds_its_grid_in_one_engine_call(engine_calls, tmp_path):
     assert main(["randomness", "--steps", "11", "--out", str(tmp_path / "r.csv")]) == 0
     assert len(engine_calls["build_tables"]) == 1
+
+
+@pytest.fixture
+def scalar_entropy_calls(monkeypatch):
+    """Counts of the one-table entropy functions of the randomness module."""
+    from triwitness import randomness
+
+    counts: dict = {}
+    for name in ("entropy_report", "hmin_global_exact", "hmin_local_bob_exact", "hmin_global_bound"):
+        count_calls(monkeypatch, randomness, name, counts)
+    return counts
+
+
+def test_grid_commands_make_no_scalar_entropy_calls(scalar_entropy_calls, tmp_path):
+    assert len(run_sweep(canonical_w2_scenario(), 0.0, np.pi, 101)) == 101
+    assert run_verify(101)[1]
+    assert main(["randomness", "--steps", "11", "--out", str(tmp_path / "r.csv")]) == 0
+    assert main(["randomness", "--eps", "0.5", "--out", str(tmp_path / "p.csv")]) == 0
+    assert all(calls == [] for calls in scalar_entropy_calls.values())
+
+
+@pytest.mark.parametrize("command", ["sweep", "randomness", "verify"])
+def test_steps_above_the_maximum_is_a_usage_error_that_allocates_nothing(command, engine_calls, capsys):
+    tracemalloc.start()
+    try:
+        assert_usage_error([command, "--steps", str(10**9)], capsys, f"at most {MAX_STEPS}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert engine_calls["build_tables"] == []

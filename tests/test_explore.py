@@ -120,6 +120,29 @@ def test_w1_window_midpoint_values():
     assert ab > 2.0 and ac > 2.0
 
 
+def test_w1_window_endpoints_are_exact_to_rounding():
+    window = find_violation_window("w1")
+    assert abs(window.lo - np.arcsin(2.0 ** (-1.0 / 4.0))) < 1e-14
+    assert abs(window.hi - np.arccos(np.sqrt(2.0) - 1.0)) < 1e-14
+
+
+def test_window_tolerance_no_longer_changes_the_result():
+    assert find_violation_window("w1", tol=1e-3) == find_violation_window("w1", tol=1e-12)
+
+
+def test_w1_window_refuses_tables_off_the_curve_models(monkeypatch):
+    original = explore.build_tables
+
+    def bent(s, eps):
+        probs = original(s, eps).copy()
+        probs[len(probs) // 2, 0, 0, 0, :, 0] += (-1e-9, 1e-9)  # Bob's outcome at one node only
+        return probs
+
+    monkeypatch.setattr(explore, "build_tables", bent)
+    with pytest.raises(RuntimeError, match="curve model"):
+        find_violation_window("w1")
+
+
 def test_w2_window_is_the_open_interval():
     window = find_violation_window("w2", tol=1e-9)
     assert window.lo == 0.0
@@ -255,5 +278,4 @@ def test_window_checks_read_each_sample_set_in_one_engine_call(monkeypatch):
     assert calls == [3]  # the three spot checks
     calls.clear()
     find_violation_window("w1", tol=1e-12)
-    assert calls.count(17) == 2  # one call per monotonicity check
-    assert set(calls) == {1, 17}  # the rest are sequential bisection steps
+    assert calls == [17]  # the curve nodes; both endpoints are solved in closed form

@@ -1,10 +1,13 @@
-"""Invariants of the batched probability engine over random scenarios and grids."""
+"""Invariants of the batched probability engine and of its array consumers
+over random scenarios and grids."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triwitness.randomness import h_from_w1, h_from_w2
+from triwitness.cli import run_sweep, sweep_row
+from triwitness.explore import w1_curves
+from triwitness.randomness import entropy_report, entropy_values, h_from_w1, h_from_w2
 from triwitness.scenario import (
     Scenario,
     build_table,
@@ -86,3 +89,30 @@ def test_certified_rates_are_monotone_and_nonnegative(a, b):
     assert 0.0 <= h_from_w1(lo) <= h_from_w1(hi)
     lo, hi = lo / QUANTUM_BOUND_W1, hi / QUANTUM_BOUND_W1
     assert 0.0 <= h_from_w2(lo) <= h_from_w2(hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_entropy_figures_of_a_stack_are_those_of_each_table(s, grid):
+    figures = entropy_values(build_tables(s, grid), s.z_prior)
+    for i, e in enumerate(grid):
+        report = entropy_report(build_table(s, float(e)))
+        assert {name: float(v[i]) for name, v in figures.items()} == vars(report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios, st.floats(0.0, np.pi), st.floats(0.0, np.pi), st.integers(2, 12))
+def test_sweep_rows_are_those_of_each_table(s, a, b, steps):
+    lo, hi = sorted((a, b))
+    rows = run_sweep(s, lo, hi, steps)
+    assert rows == [sweep_row(build_table(s, e)) for e in np.linspace(lo, hi, steps)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_w1_curve_models_reproduce_the_engine(s, grid):
+    (a0, a1), (c0, c1, c2) = w1_curves(s).values()
+    models = {"ab": a0 + a1 * np.cos(grid), "ac": c0 + c1 * np.cos(2.0 * grid) + c2 * np.sin(2.0 * grid)}
+    p = build_tables(s, grid)
+    for pair, model in models.items():
+        assert np.abs(model - qrac_values(setting_probs(p, s.z_prior, pair))).max() <= TOL

@@ -98,6 +98,15 @@ def test_h_from_w1_domain():
         h_from_w1(2 * np.sqrt(2) + 1e-6)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_certified_rates_reject_non_finite_witness_values(bad):
+    for h in (h_from_w1, h_from_w2):
+        with pytest.raises(ValueError, match="not finite"):
+            h(bad)
+        with pytest.raises(ValueError, match="not finite"):
+            h(np.array([0.5, bad]))
+
+
 def test_h_from_w2_values():
     assert abs(h_from_w2(1.0) - H_AT_MAX) < 1e-12
     assert h_from_w2(0.0) == 0.0
