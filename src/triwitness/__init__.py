@@ -43,9 +43,6 @@ from .scenario import (
     build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
-    p_bob,
-    p_bob_given_z,
-    p_charlie,
     p_joint,
 )
 from .witness import (
@@ -99,9 +96,6 @@ __all__ = [
     "hmin_global_exact",
     "hmin_local_bob_exact",
     "optimize_settings",
-    "p_bob",
-    "p_bob_given_z",
-    "p_charlie",
     "p_joint",
     "partial_trace",
     "phase_kick",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qubit import IDENTITY, check_density, partial_trace, projector, tensor
+from .qubit import IDENTITY, check_density, projector, tensor
 
 __all__ = [
     "CouplingRangeError",
@@ -112,12 +112,3 @@ def charlie_state(rho, axis, eps) -> np.ndarray:
     v = phase_kick(eps)
     return (1.0 - weight_minus) * plus + weight_minus * (v @ plus @ v.conj().swapaxes(-1, -2))
 
-
-def bob_state_from_joint(rho, axis, eps: float) -> np.ndarray:
-    """Bob's marginal via the 4x4 route; reference path for tests."""
-    return partial_trace(evolve_joint(rho, axis, eps), keep="system")
-
-
-def charlie_state_from_joint(rho, axis, eps: float) -> np.ndarray:
-    """Charlie's marginal via the 4x4 route; reference path for tests."""
-    return partial_trace(evolve_joint(rho, axis, eps), keep="ancilla")

@@ -40,10 +40,9 @@ from .scenario import (
     canonical_w1_scenario,
     canonical_w2_scenario,
     check_probs,
-    p_bob_given_z,
     p_bob_plus_closed_form,
-    p_charlie,
     p_charlie_plus_closed_form,
+    p_joint_closed_form,
 )
 
 __all__ = ["main", "run_sweep", "run_verify", "sweep_row", "SWEEP_COLUMNS"]
@@ -227,7 +226,7 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
             oracle[:, x, z] = p_charlie_plus_closed_form(scn, grid, x, z)
         row(f"bloch_oracle_charlie[{label}_scenario]", np.abs(charlie - oracle).max(axis=(1, 2)))
 
-    # table invariants, and the marginals against the marginal channels
+    # table invariants, and every joint cell against its exact coefficient curve
     for label, scn in scenarios.items():
         p = probs[label]
         row(f"table_normalization[{label}_scenario]", np.abs(p.sum(axis=(4, 5)) - 1.0).max(axis=(1, 2, 3)))
@@ -235,13 +234,8 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
             f"no_signaling_to_charlie[{label}_scenario]",
             np.abs(p[:, :, 0].sum(axis=3) - p[:, :, 1].sum(axis=3)).max(axis=(1, 2, 3)),
         )
-        charlie, bob = p[:, :, 0].sum(axis=3), p.sum(axis=5)  # (eps, x, z, c), (eps, x, y, z, b)
-        worst = zero
-        for x, z in np.ndindex(4, 2):
-            worst = np.maximum(worst, np.abs(charlie[:, x, z] - p_charlie(scn, grid, x, z)).max(axis=1))
-            for y in range(2):
-                worst = np.maximum(worst, np.abs(bob[:, x, y, z] - p_bob_given_z(scn, grid, x, y, z)).max(axis=1))
-        row(f"marginal_consistency[{label}_scenario]", worst)
+        oracle = p_joint_closed_form(scn, grid)
+        row(f"bloch_oracle_joint[{label}_scenario]", np.abs(p - oracle).max(axis=(1, 2, 3, 4, 5)))
 
     # z-independence of the conditioned witnesses
     for name in ("w1_ab_z", "w2_ab_z"):

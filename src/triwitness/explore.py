@@ -11,8 +11,9 @@ the full density-matrix simulation.
 
 `find_violation_window` solves in closed form for the coupling angles where
 the double violation of the linear witness pair starts and ends: both
-witnesses are exact trigonometric curves in the coupling (`w1_curves`), so
-each endpoint is one arccos.
+witnesses are exact trigonometric curves in the coupling, read off the
+coefficient tables of `scenario.curve_coefficients` (`w1_curves`), so each
+endpoint is one arccos.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from math import cos, isfinite, pi, sin
 import numpy as np
 
 from .channel import check_coupling
-from .scenario import Scenario, build_table, build_tables, canonical_w1_scenario, canonical_w2_scenario
+from .scenario import (
+    Scenario,
+    build_table,
+    build_tables,
+    canonical_w1_scenario,
+    canonical_w2_scenario,
+    curve_coefficients,
+    p_joint_closed_form,
+)
 from .spheres import minimize, unit  # looked up here per search, so wrapping explore.minimize sees every call
 from .witness import QRAC_SIGNS, determinant_values, qrac_values, setting_probs, w1, w2
 
@@ -209,46 +218,30 @@ def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
     )
 
 
-#: The coupling angles the exact w1 curves are read at.
-_CURVE_NODES = np.linspace(0.0, pi, 17)
-#: Trapezoid weights of the nodes. Under them the basis of each curve model,
-#: {1, cos eps} and {1, cos 2eps, sin 2eps}, is orthogonal on the nodes
-#: (discrete cosine and sine orthogonality), so each weighted least-squares
-#: coefficient is one weighted sum.
-_CURVE_WEIGHTS = np.concatenate([[0.5], np.ones(15), [0.5]])
-#: Largest misfit of the curve models at a node that still counts as exact.
-_CURVE_FIT_TOL = 1e-12
-
-
-#: The curve models' basis functions of the coupling, per observer pair.
-_CURVE_BASES = {
-    "ab": lambda eps: np.stack([np.ones_like(eps), np.cos(eps)], axis=-1),
-    "ac": lambda eps: np.stack([np.ones_like(eps), np.cos(2.0 * eps), np.sin(2.0 * eps)], axis=-1),
-}
+#: Largest gap between the engine and the exact curves that still counts as none.
+_CURVE_TOL = 1e-12
+#: Basis functions of the linear witness per pair, as indices into the basis
+#: (1, cos eps, sin eps, cos 2eps, sin 2eps) of `curve_coefficients`.
+_W1_BASES = {"ab": [0, 1], "ac": [0, 3, 4]}
 
 
 def w1_curves(s: Scenario) -> dict:
     """Exact linear-witness curves of ``s``: {pair: coefficients}.
 
     W1_AB = ab[0] + ab[1] cos eps and W1_AC = ac[0] + ac[1] cos 2eps +
-    ac[2] sin 2eps: Bob's z-conditioned statistics are affine in cos eps
-    and Charlie's in (cos 2eps, sin 2eps), for any settings and prior. The
-    coefficients are fitted to the engine at 17 nodes read by one call;
-    they must reproduce every node to 1e-12, or RuntimeError is raised,
-    since the closed-form window endpoints rest on the models being exact.
+    ac[2] sin 2eps. W1 is linear in the cells, so its coefficients are the
+    witness of the coefficient tables of `curve_coefficients`; the other
+    basis terms cancel in each pair, for any settings and prior. As a guard
+    the engine must match the coefficient tables in every cell to 1e-12 at
+    five angles, read by one call, or RuntimeError is raised, since the
+    closed-form window endpoints rest on the curves being exact.
     """
-    probs = build_tables(s, _CURVE_NODES)
-    curves = {}
-    for pair, basis in _CURVE_BASES.items():
-        design = basis(_CURVE_NODES)
-        weighted = design * _CURVE_WEIGHTS[:, None]
-        values = qrac_values(setting_probs(probs, s.z_prior, pair))
-        coef = np.einsum("k,kj->j", values, weighted) / np.einsum("kj,kj->j", weighted, design)
-        misfit = np.abs(np.einsum("kj,j->k", design, coef) - values).max()
-        if misfit > _CURVE_FIT_TOL:
-            raise RuntimeError(f"W1_{pair.upper()} misses its curve model by {misfit:.3g} at a node")
-        curves[pair] = coef
-    return curves
+    nodes = np.linspace(0.0, pi, 5)
+    gap = np.abs(build_tables(s, nodes) - p_joint_closed_form(s, nodes)).max()
+    if gap > _CURVE_TOL:
+        raise RuntimeError(f"the engine misses its curve model by {gap:.3g}")
+    coef = curve_coefficients(s)
+    return {pair: qrac_values(setting_probs(coef, s.z_prior, pair))[basis] for pair, basis in _W1_BASES.items()}
 
 
 def _w1_window(curves: dict) -> Window:
@@ -277,7 +270,7 @@ def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     For the linear pair the window opens where the AC witness climbs
     through 2 in [0, pi/2] and closes where the AB witness falls through 2;
     both endpoints are solved in closed form from the exact curves of
-    `w1_curves`, read from one engine call. For the determinant pair the
+    `w1_curves`, guarded by one engine call. For the determinant pair the
     whole open interval (0, pi) qualifies; positivity of both witnesses is
     spot-checked at three interior angles, read from one engine call.
 

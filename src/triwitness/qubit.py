@@ -73,11 +73,10 @@ def projector(axis) -> np.ndarray:
     ``axis`` must be a unit Bloch vector; the projector onto the antipodal
     state is ``projector(-axis)``.
     """
-    axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
+    norm = float(np.linalg.norm(np.asarray(axis, dtype=float)))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvalidStateError(f"measurement axis must be unit length, got |axis| = {norm}")
-    return (IDENTITY + axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z) / 2.0
+    return bloch_to_density(axis)
 
 
 def density_to_bloch(rho) -> np.ndarray:

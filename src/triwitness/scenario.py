@@ -16,11 +16,13 @@ Index conventions:
 * outcome index 0 is the classical bit +1 (projector along the +axis),
   outcome index 1 is -1.
 
-Probabilities are always computed from the exact interaction channel;
-`p_bob_plus_closed_form` and `p_charlie_plus_closed_form` provide the
-independent Bloch-algebra route (the oracle) used by the verification
-suite. The oracles and the marginal-channel readers `p_bob_given_z` and
-`p_charlie` take one angle or an array of them.
+Probabilities are always computed from the exact interaction channel.
+The independent Bloch-algebra route (the oracle) used by the verification
+suite is `curve_coefficients`: every joint probability is exactly a
+degree-2 trigonometric polynomial in the coupling, and `p_joint_closed_form`
+evaluates all 64 of them from their coefficients. `p_bob_plus_closed_form`
+and `p_charlie_plus_closed_form` give the two marginals by plain vector
+algebra. The oracles take one angle or an array of them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel
-from .qubit import IDENTITY, NORM_TOL, PAULI, bloch_to_density, projector, tensor
+from .qubit import IDENTITY, NORM_TOL, PAULI, tensor
 
 __all__ = [
     "OUTCOMES",
@@ -42,14 +44,13 @@ __all__ = [
     "canonical_w1_scenario",
     "canonical_w2_scenario",
     "p_joint",
-    "p_bob",
-    "p_bob_given_z",
-    "p_charlie",
     "build_table",
     "build_tables",
     "check_probs",
     "p_bob_plus_closed_form",
     "p_charlie_plus_closed_form",
+    "curve_coefficients",
+    "p_joint_closed_form",
 ]
 
 #: Classical outcome labels in storage order.
@@ -180,32 +181,6 @@ def canonical_w2_scenario() -> Scenario:
 # -- exact channel probabilities ----------------------------------------
 
 
-def p_bob_given_z(s: Scenario, eps, x: int, y: int, z: int) -> np.ndarray:
-    """Distribution of Bob's outcome for fixed z, from the marginal channel.
-
-    Entry 0 is p(b = +1); entry 1 its complement, so the pair is exactly
-    normalized. An array of angles gives one pair per angle, shape (..., 2).
-    """
-    rho = channel.bob_state(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    return _plus_minus(projector(s.bob_axes[y]), rho)
-
-
-def p_bob(s: Scenario, eps, x: int, y: int) -> np.ndarray:
-    """Bob's outcome distribution averaged over z with the scenario prior."""
-    return s.z_prior[0] * p_bob_given_z(s, eps, x, y, 0) + s.z_prior[1] * p_bob_given_z(s, eps, x, y, 1)
-
-
-def p_charlie(s: Scenario, eps, x: int, z: int) -> np.ndarray:
-    """Distribution of Charlie's ancilla readout (independent of y)."""
-    rho = channel.charlie_state(bloch_to_density(s.preparations[x]), s.charlie_axes[z], eps)
-    return _plus_minus(projector(s.ancilla_axis), rho)
-
-
-def _plus_minus(proj: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    p_plus = np.trace(proj @ rho, axis1=-2, axis2=-1).real
-    return np.stack([p_plus, 1.0 - p_plus], axis=-1)
-
-
 def build_tables(s: Scenario, eps) -> np.ndarray:
     """All 64 joint probabilities at every coupling angle of ``eps``.
 
@@ -239,8 +214,8 @@ def build_tables(s: Scenario, eps) -> np.ndarray:
     u = (np.eye(4) + tensor(minus_w, kick[:, None]))[:, :, None]  # (eps, z, 1, 4, 4)
     joint = u @ states @ u.conj().swapaxes(-1, -2)  # (eps, z, x, 4, 4)
 
-    # Charlie's marginal through the partial trace, as p_charlie reads it, so
-    # that an untouched |+> ancilla gives exactly 1 on its own axis
+    # Charlie's marginal through the partial trace, so that an untouched
+    # |+> ancilla gives exactly 1 on its own axis
     rho_anc = np.trace(joint.reshape(joint.shape[:3] + (2, 2, 2, 2)), axis1=3, axis2=5)
     m_plus = np.clip(np.trace(p_anc[0] @ rho_anc, axis1=-2, axis2=-1).real, 0.0, 1.0)
     marg = np.stack([m_plus, 1.0 - m_plus], axis=-1)[..., None, :]  # (eps, z, x, y, c)
@@ -365,6 +340,49 @@ def p_charlie_plus_closed_form(s: Scenario, eps, x: int, z: int):
     kicked = np.stack([np.cos(2.0 * eps), -np.sin(2.0 * eps), np.zeros_like(eps)], axis=-1)
     anc = (1.0 - q_minus) * channel.PLUS_BLOCH + q_minus * kicked
     return _float_if_scalar(0.5 * (1.0 + anc @ s.ancilla_axis))
+
+
+def curve_coefficients(s: Scenario) -> np.ndarray:
+    """Exact coefficients of every joint probability as a curve in the coupling.
+
+    Returns C of shape (5, 4, 2, 2, 2, 2), indexed [k, x, y, z, b, c], with
+    p(b, c | x, y, z) = C0 + C1 cos eps + C2 sin eps + C3 cos 2eps + C4 sin 2eps.
+    With r = r_x, nu = nu_y, w = w_z, t the ancilla axis, r_perp = r - (r.w) w,
+    alpha = nu . r_perp, beta = nu . (r_perp x w) and
+    D+- = (1 +- r.w)(1 +- b nu.w) / 4, the +w half of the preparation reaches
+    Bob untouched next to an untouched ancilla (D+), the -w half kicks the
+    ancilla by 2eps (D-), and their coherence (alpha, beta) rotates with eps.
+    """
+    r, nu, w, t = s.preparations, s.bob_axes, s.charlie_axes, s.ancilla_axis
+    b = np.array(OUTCOMES, dtype=float)[:, None]  # (b, 1)
+    c = np.array(OUTCOMES, dtype=float)  # (c,)
+    rw, nw = r @ w.T, nu @ w.T  # (x, z), (y, z)
+    alpha = (r @ nu.T)[:, :, None] - rw[:, None] * nw  # nu . r_perp, (x, y, z)
+    r_cross_w = r[:, None, [1, 2, 0]] * w[:, [2, 0, 1]] - r[:, None, [2, 0, 1]] * w[:, [1, 2, 0]]  # (x, z, 3)
+    beta = (r_cross_w @ nu.T).transpose(0, 2, 1)  # nu . (r_perp x w) = nu . (r x w), (x, y, z)
+    alpha, beta = alpha[..., None, None], beta[..., None, None]
+    rw, nw = rw[:, None, :, None, None], nw[:, :, None, None]
+    d_plus = (1.0 + rw) * (1.0 + b * nw) / 4.0
+    d_minus = (1.0 - rw) * (1.0 - b * nw) / 4.0
+    return np.stack(
+        [
+            d_plus * (1.0 + c * t[0]) / 2.0 + d_minus / 2.0,
+            b * alpha * (1.0 + c * t[0]) / 4.0,
+            -b * c * (alpha * t[1] + beta * t[2]) / 4.0,
+            c * t[0] * d_minus / 2.0,
+            -c * t[1] * d_minus / 2.0,
+        ]
+    )
+
+
+def p_joint_closed_form(s: Scenario, eps) -> np.ndarray:
+    """All 64 joint probabilities from `curve_coefficients`, shape (E, 4, 2, 2, 2, 2).
+
+    The independent oracle for every cell of `build_tables`.
+    """
+    eps = np.atleast_1d(channel.check_coupling(eps))
+    basis = np.stack([np.ones_like(eps), np.cos(eps), np.sin(eps), np.cos(2.0 * eps), np.sin(2.0 * eps)], axis=-1)
+    return (basis @ curve_coefficients(s).reshape(5, -1)).reshape(eps.shape + TABLE_SHAPE)
 
 
 def _float_if_scalar(v):

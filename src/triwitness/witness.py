@@ -25,7 +25,6 @@ required to reproduce them to 1e-9, which the verification suite checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,9 +40,7 @@ __all__ = [
     "WitnessValue",
     "Violation",
     "check_witness",
-    "qrac_value",
     "qrac_values",
-    "determinant_value",
     "determinant_values",
     "setting_probs",
     "w1",
@@ -63,9 +60,6 @@ VIOLATION_TOL = 1e-9
 
 #: Sign of the w1 term for (x, s): + iff bit s of x is 0.
 QRAC_SIGNS = tuple(tuple(1 if ((x >> (1 - s)) & 1) == 0 else -1 for s in range(2)) for x in range(4))
-
-Accessor = Callable[[int, int], float]
-
 
 @dataclass(frozen=True)
 class WitnessValue:
@@ -126,23 +120,6 @@ def determinant_values(p: np.ndarray) -> np.ndarray:
     """
     m = p[..., 0::2, :] - p[..., 1::2, :]  # (..., x1, s)
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 1, 0] * m[..., 0, 1]
-
-
-def _grid(p: Accessor) -> np.ndarray:
-    return np.array([[p(x, s) for s in range(2)] for x in range(4)])
-
-
-def qrac_value(p: Accessor) -> float:
-    """Signed sum of the eight probabilities with the random-access signs."""
-    return float(qrac_values(_grid(p)))
-
-
-def determinant_value(p: Accessor) -> float:
-    """Signed determinant of the 2x2 matrix of x2-differences.
-
-    Row s, column x1: p(+1 | x1 0, s) - p(+1 | x1 1, s).
-    """
-    return float(determinant_values(_grid(p)))
 
 
 def setting_probs(probs: np.ndarray, z_prior, pair: str, z: int | None = None) -> np.ndarray:

@@ -290,6 +290,21 @@ def test_verify_makes_at_most_three_engine_calls(engine_calls):
     assert engine_calls["evolve_joint"] == []
 
 
+def test_verify_makes_no_marginal_channel_call(monkeypatch):
+    from triwitness import channel
+
+    counts: dict = {}
+    modules = [m for n, m in sorted(sys.modules.items()) if n == "triwitness" or n.startswith("triwitness.")]
+    for fn in (channel.bob_state, channel.charlie_state):
+        for module in modules:
+            if getattr(module, fn.__name__, None) is fn:
+                count_calls(monkeypatch, module, fn.__name__, counts)
+    assert run_verify(101)[1]
+    assert counts == {"bob_state": [], "charlie_state": []}
+    channel.bob_state(np.eye(2) / 2, [0.0, 0.0, 1.0], 0.5)  # the counter does see a call
+    assert len(counts["bob_state"]) == 1
+
+
 def test_randomness_grid_builds_its_grid_in_one_engine_call(engine_calls, tmp_path):
     assert main(["randomness", "--steps", "11", "--out", str(tmp_path / "r.csv")]) == 0
     assert len(engine_calls["build_tables"]) == 1

@@ -278,4 +278,4 @@ def test_window_checks_read_each_sample_set_in_one_engine_call(monkeypatch):
     assert calls == [3]  # the three spot checks
     calls.clear()
     find_violation_window("w1", tol=1e-12)
-    assert calls == [17]  # the curve nodes; both endpoints are solved in closed form
+    assert calls == [5]  # the guard angles; both endpoints are solved in closed form

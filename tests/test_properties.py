@@ -12,8 +12,10 @@ from triwitness.scenario import (
     Scenario,
     build_table,
     build_tables,
+    curve_coefficients,
     p_bob_plus_closed_form,
     p_charlie_plus_closed_form,
+    p_joint_closed_form,
 )
 from triwitness.witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, determinant_values, qrac_values, setting_probs
 
@@ -116,3 +118,32 @@ def test_w1_curve_models_reproduce_the_engine(s, grid):
     p = build_tables(s, grid)
     for pair, model in models.items():
         assert np.abs(model - qrac_values(setting_probs(p, s.z_prior, pair))).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_joint_oracle_matches_every_cell_of_the_engine(s, grid):
+    oracle = p_joint_closed_form(s, grid)
+    assert oracle.shape == (len(grid), 4, 2, 2, 2, 2)
+    assert np.abs(oracle - build_tables(s, grid)).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, grids)
+def test_joint_oracle_marginals_match_the_bloch_oracles(s, grid):
+    p = p_joint_closed_form(s, grid)
+    for x, y, z in np.ndindex(4, 2, 2):
+        bob = p[:, x, y, z, 0].sum(axis=-1)
+        assert np.abs(bob - p_bob_plus_closed_form(s, grid, x, y, z)).max() <= TOL
+        charlie = p[:, x, y, z, :, 0].sum(axis=-1)  # at every y: no signalling to Charlie
+        assert np.abs(charlie - p_charlie_plus_closed_form(s, grid, x, z)).max() <= TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios)
+def test_w1_coefficients_vanish_outside_each_pair_basis(s):
+    # basis order: 1, cos eps, sin eps, cos 2eps, sin 2eps
+    coef = curve_coefficients(s)
+    assert coef.shape == (5, 4, 2, 2, 2, 2)
+    assert np.abs(qrac_values(setting_probs(coef, s.z_prior, "ab"))[[2, 3, 4]]).max() <= TOL
+    assert np.abs(qrac_values(setting_probs(coef, s.z_prior, "ac"))[[1, 2]]).max() <= TOL

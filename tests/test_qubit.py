@@ -127,6 +127,12 @@ def test_projector_requires_unit_axis():
     assert abs(np.trace(p) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("axis", [[0.5, 0.5, 0.5, 0.5], [1.0]])
+def test_projector_rejects_unit_vectors_that_are_not_bloch_vectors(axis):
+    with pytest.raises(InvalidStateError):
+        projector(axis)
+
+
 def test_is_density_matrix():
     assert is_density_matrix(IDENTITY / 2)
     assert not is_density_matrix(np.diag([2.0, -1.0]))

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from triwitness.channel import bob_state, charlie_state
+from triwitness.qubit import bloch_to_density, projector
 from triwitness.scenario import (
     InvalidScenarioError,
     ProbTable,
@@ -11,12 +13,10 @@ from triwitness.scenario import (
     build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
-    p_bob,
-    p_bob_given_z,
     p_bob_plus_closed_form,
-    p_charlie,
     p_charlie_plus_closed_form,
     p_joint,
+    p_joint_closed_form,
 )
 
 # frozen from the analytic expressions, 50-digit evaluation
@@ -93,7 +93,9 @@ def test_p_joint_factorizes_at_zero_coupling():
             for z in range(2):
                 cell = p_joint(s, 0.0, x, y, z)
                 assert np.array_equal(cell[:, 1], [0.0, 0.0])  # c = -1 never fires
-                assert np.abs(cell[:, 0] - p_bob_given_z(s, 0.0, x, y, z)).max() < 1e-12
+                bob_plus = p_bob_plus_closed_form(s, 0.0, x, y, z)
+                assert np.abs(cell[:, 0] - [bob_plus, 1.0 - bob_plus]).max() < 1e-12
+                assert np.abs(cell - p_joint_closed_form(s, 0.0)[0, x, y, z]).max() < 1e-12
 
 
 def test_p_joint_normalization_random_settings():
@@ -122,10 +124,10 @@ def test_p_joint_charlie_marginal_example():
 
 def test_p_bob_examples():
     s = canonical_w1_scenario()
-    assert abs(p_bob(s, 0.0, 0, 0)[0] - P_BOB_W1_EPS0) < 1e-12
-    assert abs(p_bob(s, np.pi / 2, 0, 0)[0] - P_BOB_W1_HALFPI) < 1e-12
+    assert abs(build_table(s, 0.0).p_bob_plus(0, 0) - P_BOB_W1_EPS0) < 1e-12
+    assert abs(build_table(s, np.pi / 2).p_bob_plus(0, 0) - P_BOB_W1_HALFPI) < 1e-12
     for eps in np.linspace(0, np.pi, 23):
-        dist = p_bob(s, eps, 0, 0)
+        dist = build_table(s, eps).bob_marginal(0, 0)
         assert abs(dist.sum() - 1.0) < 1e-12
         assert abs(dist[0] - (0.5 + (1 + np.cos(eps)) / (4 * np.sqrt(2)))) < 1e-12
 
@@ -134,8 +136,8 @@ def test_p_charlie_examples():
     s = canonical_w1_scenario()
     for x in range(4):
         for z in range(2):
-            assert np.array_equal(p_charlie(s, 0.0, x, z), [1.0, 0.0])
-    assert abs(p_charlie(s, np.pi / 2, 0, 0)[1] - P_CHARLIE_MINUS_HALFPI) < 1e-12
+            assert np.array_equal(build_table(s, 0.0).charlie_marginal(x, z), [1.0, 0.0])
+    assert abs(build_table(s, np.pi / 2).charlie_marginal(0, 0)[1] - P_CHARLIE_MINUS_HALFPI) < 1e-12
     # preparation aligned with the interaction axis never kicks the ancilla
     aligned = Scenario(
         preparations=[[1, 0, 0]] * 4,
@@ -144,16 +146,18 @@ def test_p_charlie_examples():
         ancilla_axis=[1, 0, 0],
     )
     for eps in (0.3, 1.5, 3.0):
-        assert p_charlie(aligned, eps, 0, 0)[1] < 1e-15
+        assert build_table(aligned, eps).charlie_marginal(0, 0)[1] < 1e-15
+        assert p_joint_closed_form(aligned, eps)[0, 0, :, 0, :, 1].max() < 1e-15
 
 
 def test_z_averaging():
     s = canonical_w1_scenario()
     for eps in np.linspace(0, np.pi, 11):
+        t = build_table(s, eps)
         for x in range(4):
             for y in range(2):
-                avg = 0.5 * p_bob_given_z(s, eps, x, y, 0) + 0.5 * p_bob_given_z(s, eps, x, y, 1)
-                assert np.abs(p_bob(s, eps, x, y) - avg).max() < 1e-12
+                avg = 0.5 * p_bob_plus_closed_form(s, eps, x, y, 0) + 0.5 * p_bob_plus_closed_form(s, eps, x, y, 1)
+                assert np.abs(t.bob_marginal(x, y) - [avg, 1.0 - avg]).max() < 1e-12
 
 
 def test_nonuniform_prior_enters_p_bob():
@@ -166,8 +170,12 @@ def test_nonuniform_prior_enters_p_bob():
         z_prior=[0.25, 0.75],
     )
     eps = 1.1
-    expected = 0.25 * p_bob_given_z(skew, eps, 0, 1, 0) + 0.75 * p_bob_given_z(skew, eps, 0, 1, 1)
-    assert np.abs(p_bob(skew, eps, 0, 1) - expected).max() < 1e-15
+    t = build_table(skew, eps)
+    expected = 0.25 * t.bob_marginal_given_z(0, 1, 0) + 0.75 * t.bob_marginal_given_z(0, 1, 1)
+    assert np.abs(t.bob_marginal(0, 1) - expected).max() < 1e-15
+    oracle = 0.25 * p_bob_plus_closed_form(skew, eps, 0, 1, 0) + 0.75 * p_bob_plus_closed_form(skew, eps, 0, 1, 1)
+    assert abs(t.p_bob_plus(0, 1) - oracle) < 1e-12
+    assert abs(t.p_bob_plus(0, 1) - build_table(base, eps).p_bob_plus(0, 1)) > 1e-3  # the prior matters here
 
 
 def test_build_table_invariants(w1_tables, w2_tables):
@@ -188,12 +196,14 @@ def test_table_marginals_match_channel_marginals(w1_tables, w2_tables):
         for eps in list(tables)[::10]:
             t = tables[eps]
             for x in range(4):
+                rho = bloch_to_density(s.preparations[x])
                 for z in range(2):
-                    assert np.abs(t.charlie_marginal(x, z) - p_charlie(s, eps, x, z)).max() < 1e-12
+                    w = s.charlie_axes[z]
+                    charlie = np.trace(projector(s.ancilla_axis) @ charlie_state(rho, w, eps)).real
+                    assert np.abs(t.charlie_marginal(x, z) - [charlie, 1.0 - charlie]).max() < 1e-12
                     for y in range(2):
-                        assert (
-                            np.abs(t.bob_marginal_given_z(x, y, z) - p_bob_given_z(s, eps, x, y, z)).max() < 1e-12
-                        )
+                        bob = np.trace(projector(s.bob_axes[y]) @ bob_state(rho, w, eps)).real
+                        assert np.abs(t.bob_marginal_given_z(x, y, z) - [bob, 1.0 - bob]).max() < 1e-12
 
 
 def test_no_signaling_to_charlie_bitwise(w1_tables, w2_tables):
@@ -219,14 +229,12 @@ def test_dual_path_against_bloch_closed_form(w1_tables, w2_tables):
 
 def test_charlie_statistics_symmetric_about_half_pi(w1_tables, w2_tables):
     # p(c = -1 | x, z) depends on the coupling through sin^2 only
+    grid = np.linspace(0, np.pi / 2, 20)
     for tables in (w1_tables, w2_tables):
         s = tables[0.0].scenario
-        for eps in np.linspace(0, np.pi / 2, 20):
-            for x in range(4):
-                for z in range(2):
-                    a = p_charlie(s, eps, x, z)[1]
-                    b = p_charlie(s, np.pi - eps, x, z)[1]
-                    assert abs(a - b) < 1e-12
+        a = build_tables(s, grid)[:, :, 0, :, :, 1].sum(axis=-1)  # (eps, x, z): p(c = -1 | x, z)
+        b = build_tables(s, np.pi - grid)[:, :, 0, :, :, 1].sum(axis=-1)
+        assert np.abs(a - b).max() < 1e-12
 
 
 def test_probtable_rejects_malformed_tables():
@@ -267,12 +275,13 @@ def test_p_joint_and_build_table_are_slices_of_the_engine():
 def test_marginal_channels_broadcast_over_angles():
     s = canonical_w2_scenario()
     grid = np.linspace(0.0, np.pi, 7)
-    for x, y, z in np.ndindex(4, 2, 2):
-        bob, charlie = p_bob_given_z(s, grid, x, y, z), p_charlie(s, grid, x, z)
-        assert bob.shape == charlie.shape == (7, 2)
+    for x, z in np.ndindex(4, 2):
+        rho, w = bloch_to_density(s.preparations[x]), s.charlie_axes[z]
+        bob, charlie = bob_state(rho, w, grid), charlie_state(rho, w, grid)
+        assert bob.shape == charlie.shape == (7, 2, 2)
         for i, e in enumerate(grid):
-            assert np.abs(bob[i] - p_bob_given_z(s, float(e), x, y, z)).max() < 1e-15
-            assert np.abs(charlie[i] - p_charlie(s, float(e), x, z)).max() < 1e-15
+            assert np.abs(bob[i] - bob_state(rho, w, float(e))).max() < 1e-15
+            assert np.abs(charlie[i] - charlie_state(rho, w, float(e))).max() < 1e-15
 
 
 def test_bloch_oracles_take_a_grid_and_return_floats_for_a_float():

@@ -8,8 +8,8 @@ from triwitness.witness import (
     QUANTUM_BOUND_W1,
     WitnessValue,
     closed_form,
-    determinant_value,
-    qrac_value,
+    determinant_values,
+    qrac_values,
     violation,
     w1,
     w1_given_z,
@@ -33,16 +33,16 @@ def test_sign_pattern_sums_to_zero():
 def test_qrac_value_is_shift_invariant():
     rng = np.random.default_rng(41)
     p = rng.uniform(0, 1, size=(4, 2))
-    base = qrac_value(lambda x, s: p[x, s])
-    shifted = qrac_value(lambda x, s: p[x, s] + 0.123)
+    base = qrac_values(p)
+    shifted = qrac_values(p + 0.123)
     assert abs(base - shifted) < 1e-12
 
 
 def test_determinant_value_is_row_shift_invariant():
     rng = np.random.default_rng(42)
     p = rng.uniform(0, 1, size=(4, 2))
-    base = determinant_value(lambda x, s: p[x, s])
-    shifted = determinant_value(lambda x, s: p[x, s] + (0.2 if s == 0 else 0.0))
+    base = determinant_values(p)
+    shifted = determinant_values(p + [0.2, 0.0])
     assert abs(base - shifted) < 1e-12
 
 
