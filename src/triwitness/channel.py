@@ -41,11 +41,24 @@ class CouplingRangeError(ValueError):
     """Raised when the coupling angle lies outside [0, pi]."""
 
 
+#: Types whose values `check_coupling` and `witness.check_witness` test as
+#: plain floats, without building an array; bool and other types take the
+#: array path.
+_SCALARS = (float, int, np.float64)
+
+
 def check_coupling(eps):
     """Validate the coupling angle(s); values outside [0, pi] are rejected.
 
-    A scalar comes back as a float, anything else as a float array.
+    A scalar comes back as a float, anything else as a float array. One
+    float, int or np.float64 is tested without an array, with the same
+    outcome and message as the array path.
     """
+    if type(eps) in _SCALARS:
+        e = float(eps)
+        if 0.0 <= e <= np.pi:  # False for NaN as well
+            return e
+        raise CouplingRangeError(f"coupling angle {e} outside [0, pi]")
     eps = np.asarray(eps, dtype=float)
     bad = eps[~((0.0 <= eps) & (eps <= np.pi))]
     if bad.size:

@@ -26,12 +26,12 @@ import numpy as np
 from .channel import check_coupling
 from .scenario import (
     Scenario,
+    _joint_from_coefficients,
     build_table,
     build_tables,
     canonical_w1_scenario,
     canonical_w2_scenario,
     curve_coefficients,
-    p_joint_closed_form,
 )
 from .spheres import minimize, unit  # looked up here per search, so wrapping explore.minimize sees every call
 from .witness import QRAC_SIGNS, determinant_values, qrac_values, setting_probs, w1, w2
@@ -234,13 +234,14 @@ def w1_curves(s: Scenario) -> dict:
     basis terms cancel in each pair, for any settings and prior. As a guard
     the engine must match the coefficient tables in every cell to 1e-12 at
     five angles, read by one call, or RuntimeError is raised, since the
-    closed-form window endpoints rest on the curves being exact.
+    closed-form window endpoints rest on the curves being exact. The
+    tables are built once, for the guard and the curves alike.
     """
+    coef = curve_coefficients(s)
     nodes = np.linspace(0.0, pi, 5)
-    gap = np.abs(build_tables(s, nodes) - p_joint_closed_form(s, nodes)).max()
+    gap = np.abs(build_tables(s, nodes) - _joint_from_coefficients(coef, nodes)).max()
     if gap > _CURVE_TOL:
         raise RuntimeError(f"the engine misses its curve model by {gap:.3g}")
-    coef = curve_coefficients(s)
     return {pair: qrac_values(setting_probs(coef, s.z_prior, pair))[basis] for pair, basis in _W1_BASES.items()}
 
 

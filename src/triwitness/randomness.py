@@ -8,6 +8,10 @@ best guessing probability. All entropies are in bits.
 tables (..., 4, 2, 2, 2, 2) with array operations, so a coupling grid costs
 one call; `entropy_report` and the `hmin_*` functions are its one-table
 slices, and `h_from_w1` / `h_from_w2` take one witness value or an array.
+`entropy_report` takes the witness values of its table from the table's
+own cache (`ProbTable._readouts`, see `witness`), which the witness
+accessors share, so a request that reads both derives them once; the
+table is immutable, so they cannot go stale.
 
 Certification below the classical bound is defined as zero: a linear
 witness at or under 2 certifies nothing, so `h_from_w1` clamps there
@@ -31,16 +35,7 @@ import numpy as np
 
 from .channel import check_coupling
 from .scenario import ProbTable, _float_if_scalar
-from .witness import (
-    QUANTUM_BOUND_W1,
-    QUANTUM_BOUND_W2,
-    VIOLATION_TOL,
-    check_witness,
-    closed_form,
-    determinant_values,
-    qrac_values,
-    setting_probs,
-)
+from .witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, VIOLATION_TOL, _readout_values, check_witness, closed_form
 
 __all__ = [
     "SuperQuantumWitnessError",
@@ -79,15 +74,12 @@ def _guesses(probs: np.ndarray, z_prior) -> np.ndarray:
     bob_z = probs.sum(axis=-1)  # (..., x, y, z, b)
     bob = z_prior[0] * bob_z[..., 0, :] + z_prior[1] * bob_z[..., 1, :]  # (..., x, y, b)
     charlie = probs[..., 0, :, :, :].sum(axis=-2)  # (..., x, z, c)
-    return np.stack(
-        [
-            probs.max(axis=(-2, -1)).sum(axis=(-3, -2, -1)) / 16.0,
-            bob.max(axis=-1).sum(axis=(-2, -1)) / 8.0,
-            charlie.max(axis=-1).sum(axis=(-2, -1)) / 8.0,
-            bob_z.max(axis=(-4, -3, -2, -1)),
-        ],
-        axis=-1,
-    )
+    guesses = np.empty(probs.shape[:-5] + (4,))
+    guesses[..., 0] = probs.max(axis=(-2, -1)).sum(axis=(-3, -2, -1)) / 16.0
+    guesses[..., 1] = bob.max(axis=-1).sum(axis=(-2, -1)) / 8.0
+    guesses[..., 2] = charlie.max(axis=-1).sum(axis=(-2, -1)) / 8.0
+    guesses[..., 3] = bob_z.max(axis=(-4, -3, -2, -1))
+    return guesses
 
 
 def _exact_figures(probs: np.ndarray, z_prior) -> dict:
@@ -144,8 +136,7 @@ def h_from_w1(w):
     over = w[w > QUANTUM_BOUND_W1 + VIOLATION_TOL]
     if over.size:
         raise SuperQuantumWitnessError(f"w1 value {over[0]} exceeds the qubit maximum {QUANTUM_BOUND_W1}")
-    bits = _certified_bits(np.minimum((w * w - 4.0) / 4.0, 1.0))
-    return _float_if_scalar(np.where(w <= 2.0, 0.0, bits))
+    return _float_if_scalar(_h1(w))
 
 
 def h_from_w2(w):
@@ -158,7 +149,17 @@ def h_from_w2(w):
     over = a[a > QUANTUM_BOUND_W2 + VIOLATION_TOL]
     if over.size:
         raise SuperQuantumWitnessError(f"w2 magnitude {over[0]} exceeds the qubit maximum {QUANTUM_BOUND_W2}")
-    return _float_if_scalar(_certified_bits(np.minimum(a, 1.0)))
+    return _float_if_scalar(_h2(a))
+
+
+def _h1(w: np.ndarray) -> np.ndarray:
+    # `h_from_w1` of values that passed its checks
+    return np.where(w <= 2.0, 0.0, _certified_bits(np.minimum((w * w - 4.0) / 4.0, 1.0)))
+
+
+def _h2(a: np.ndarray) -> np.ndarray:
+    # `h_from_w2` of magnitudes that passed its checks
+    return _certified_bits(np.minimum(a, 1.0))
 
 
 def bob_certified(eps: float, kind: str) -> float:
@@ -209,10 +210,19 @@ def entropy_values(probs: np.ndarray, z_prior) -> dict:
     z-conditioned witnesses (the adversary knows z); the canonical
     scenarios make both z values identical.
     """
-    readouts = (("ab", 0), ("ab", 1), ("ac", None))
-    plus = np.stack([setting_probs(probs, z_prior, pair, z) for pair, z in readouts], axis=-3)
-    h1 = h_from_w1(check_witness("w1", qrac_values(plus)))  # (..., readout)
-    h2 = h_from_w2(check_witness("w2", determinant_values(plus[..., :2, :, :])))
+    _, w1, w2 = _readout_values(probs, z_prior)
+    return _figures(probs, z_prior, w1, w2)
+
+
+def _figures(probs: np.ndarray, z_prior, w1: np.ndarray, w2: np.ndarray) -> dict:
+    """`entropy_values` given the witnesses (..., 4) of `witness._readout_values`.
+
+    Readouts 1 and 2 are AB at z = 0 and z = 1, readout 3 is AC. Values
+    that pass `check_witness` pass the checks of `h_from_w1` and
+    `h_from_w2`, whose bits they then get.
+    """
+    h1 = _h1(check_witness("w1", w1[..., 1:]))  # (..., readout)
+    h2 = _h2(np.abs(check_witness("w2", w2[..., 1:3])))
     figures = _exact_figures(probs, z_prior)
     figures["h_bob_certified_w1"] = np.minimum(h1[..., 0], h1[..., 1])
     figures["h_bob_certified_w2"] = np.minimum(h2[..., 0], h2[..., 1])
@@ -222,6 +232,7 @@ def entropy_values(probs: np.ndarray, z_prior) -> dict:
 
 def entropy_report(table: ProbTable) -> EntropyReport:
     """Every entropy figure of one simulated table: the one-table slice of
-    `entropy_values`."""
-    values = entropy_values(table.probs, table.scenario.z_prior)
+    `entropy_values`, with the witnesses from the table's cache."""
+    _, w1, w2 = table._readouts
+    values = _figures(table.probs, table.scenario.z_prior, w1, w2)
     return EntropyReport(**{name: float(v) for name, v in values.items()})

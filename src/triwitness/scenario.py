@@ -22,13 +22,28 @@ suite is `curve_coefficients`: every joint probability is exactly a
 degree-2 trigonometric polynomial in the coupling, and `p_joint_closed_form`
 evaluates all 64 of them from their coefficients. `p_bob_plus_closed_form`
 and `p_charlie_plus_closed_form` give the two marginals by plain vector
-algebra. The oracles take one angle or an array of them.
+algebra. The oracles take one angle or an array of them; one angle takes
+a path without the angle axis that gives the same bits.
+
+Two immutable objects keep what they derive, on the instance itself, so
+that one-table requests do not derive it again and nothing outlives them:
+
+* a `Scenario` keeps the operators of `build_tables` that do not depend on
+  the coupling (prepared states, readout projectors, the ancilla projector
+  and the two kick terms), built on the first engine call, not when the
+  scenario is made;
+* a `ProbTable` keeps the p(+1 | x, s) of its four witness readouts and
+  their two witnesses, derived by `witness` on first use, for the witness
+  accessors and `randomness.entropy_report`.
+
+Every field of both is write-locked, so neither cache can go stale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +75,7 @@ OUTCOMES = (1, -1)
 PROB_TOL = 1e-12
 #: Shape of one table, indexed [x, y, z, b, c].
 TABLE_SHAPE = (4, 2, 2, 2, 2)
+_EYE4 = np.eye(4)
 
 
 class InvalidScenarioError(ValueError):
@@ -84,6 +100,8 @@ class Scenario:
     """One full configuration of the three-observer experiment.
 
     Immutable; all vector fields are stored as write-locked float arrays.
+    The engine's operators that depend on the settings alone are built on
+    the first engine call and kept on the scenario (``_operators``).
     """
 
     preparations: np.ndarray  # (4, 3) Bloch vectors, one per input x
@@ -109,6 +127,11 @@ class Scenario:
             raise InvalidScenarioError("ancilla_axis is not a unit vector")
         if np.any(self.z_prior < 0.0) or abs(self.z_prior.sum() - 1.0) > PROB_TOL:
             raise InvalidScenarioError(f"z_prior {self.z_prior} is not a probability pair")
+
+    @cached_property
+    def _operators(self) -> tuple:
+        # built on the first engine call; the fields are write-locked
+        return _locked(_engine_operators(self))
 
     # -- serialization --------------------------------------------------
 
@@ -181,15 +204,35 @@ def canonical_w2_scenario() -> Scenario:
 # -- exact channel probabilities ----------------------------------------
 
 
+def _engine_operators(s: Scenario) -> tuple:
+    """The operators of `build_tables` that do not depend on the coupling.
+
+    Returns (states, readouts, p_anc, kick_terms): the prepared states
+    rho_x x |+><+| (x, 4, 4), the readouts P(nu_y) x P(+-t) (y, c, 4, 4),
+    the ancilla projector P(t) (2, 2) and the kick terms P(-w_z) x |k><k|
+    (k, z, 1, 4, 4). Every state and projector is one rank-1 operator
+    (I + v.sigma)/2, built together by one contraction with the Pauli
+    vector (the scenario has already checked every v).
+    """
+    vectors = np.concatenate(
+        [s.preparations, s.bob_axes, -s.charlie_axes, [s.ancilla_axis, -s.ancilla_axis, channel.PLUS_BLOCH]]
+    )
+    ops = (IDENTITY + np.einsum("ki,ijl->kjl", vectors, PAULI)) / 2.0  # (11, 2, 2)
+    rho, bob, minus_w, p_anc, plus = ops[:4], ops[4:6], ops[6:8], ops[8:10], ops[10]
+    kick_terms = np.zeros((2, 2, 1, 4, 4), dtype=complex)  # [k, z]: entries (2i + k, 2j + k)
+    kick_terms[0, :, 0, 0::2, 0::2] = minus_w
+    kick_terms[1, :, 0, 1::2, 1::2] = minus_w
+    return tensor(rho, plus), tensor(bob[:, None], p_anc), p_anc[0], kick_terms
+
+
 def build_tables(s: Scenario, eps) -> np.ndarray:
     """All 64 joint probabilities at every coupling angle of ``eps``.
 
     Returns shape (E, 4, 2, 2, 2, 2) indexed [eps, x, y, z, b, c] with
-    outcome index 0 for +1. Every state and projector of the set-up is one
-    rank-1 operator (I + v.sigma)/2, built together by one contraction with
-    the Pauli vector (the scenario has already checked every v). The 8 joint
-    states of each angle are evolved in one batched ``U rho U^dag``, and
-    every (b = +1, c) projection of every state is read by one einsum.
+    outcome index 0 for +1. The operators that do not depend on the angle
+    are built once per scenario (`_engine_operators`). The 8 joint states
+    of each angle are evolved in one batched ``U rho U^dag``, and every
+    (b = +1, c) projection of every state is read by one einsum.
 
     The +1 row of Bob's outcome is the direct projection; the -1 row is the
     remainder against the (y-independent) ancilla marginal. Subtracting
@@ -200,30 +243,29 @@ def build_tables(s: Scenario, eps) -> np.ndarray:
     eps = np.atleast_1d(channel.check_coupling(eps))
     if eps.ndim != 1:
         raise ValueError(f"eps must be a scalar or a 1-d grid, got shape {eps.shape}")
-    vectors = np.concatenate(
-        [s.preparations, s.bob_axes, -s.charlie_axes, [s.ancilla_axis, -s.ancilla_axis, channel.PLUS_BLOCH]]
-    )
-    ops = (IDENTITY + np.einsum("ki,ijl->kjl", vectors, PAULI)) / 2.0  # (11, 2, 2)
-    rho, bob, minus_w, p_anc, plus = ops[:4], ops[4:6], ops[6:8], ops[8:10], ops[10]
-    readouts = tensor(bob[:, None], p_anc)  # (y, c, 4, 4)
-    states = tensor(rho, plus)  # (x, 4, 4)
+    states, readouts, p_anc, (kick0, kick1) = s._operators
     # controlled kick I x I + P(-w) x diag(e^{i eps} - 1, e^{-i eps} - 1): exactly I at eps = 0
-    kick = np.zeros(eps.shape + (2, 2), dtype=complex)
-    kick[:, 0, 0] = np.exp(1j * eps) - 1.0
-    kick[:, 1, 1] = np.exp(-1j * eps) - 1.0
-    u = (np.eye(4) + tensor(minus_w, kick[:, None]))[:, :, None]  # (eps, z, 1, 4, 4)
+    phase0 = (np.exp(1j * eps) - 1.0)[:, None, None, None, None]
+    phase1 = (np.exp(-1j * eps) - 1.0)[:, None, None, None, None]
+    u = _EYE4 + (kick0 * phase0 + kick1 * phase1)  # (eps, z, 1, 4, 4)
     joint = u @ states @ u.conj().swapaxes(-1, -2)  # (eps, z, x, 4, 4)
 
     # Charlie's marginal through the partial trace, so that an untouched
     # |+> ancilla gives exactly 1 on its own axis
-    rho_anc = np.trace(joint.reshape(joint.shape[:3] + (2, 2, 2, 2)), axis1=3, axis2=5)
-    m_plus = np.clip(np.trace(p_anc[0] @ rho_anc, axis1=-2, axis2=-1).real, 0.0, 1.0)
-    marg = np.stack([m_plus, 1.0 - m_plus], axis=-1)[..., None, :]  # (eps, z, x, y, c)
+    rho_anc = joint[..., :2, :2] + joint[..., 2:, 2:]
+    m = p_anc @ rho_anc
+    m_plus = np.clip((m[..., 0, 0] + m[..., 1, 1]).real, 0.0, 1.0)
+    marg = np.empty(m_plus.shape + (1, 2))  # (eps, z, x, y, c)
+    marg[..., 0, 0] = m_plus
+    marg[..., 0, 1] = 1.0 - m_plus
     top = np.einsum("ycij,ezxji->ezxyc", readouts, joint).real
     top = np.minimum(np.maximum(top, 0.0), marg)
     bottom = marg - top
-    probs = np.stack([marg - bottom, bottom], axis=-2)  # (eps, z, x, y, b, c)
-    return np.ascontiguousarray(probs.transpose(0, 2, 3, 1, 4, 5))
+    probs = np.empty(eps.shape + TABLE_SHAPE)
+    by_z = probs.transpose(0, 3, 1, 2, 4, 5)  # (eps, z, x, y, b, c) view
+    by_z[..., 0, :] = marg - bottom
+    by_z[..., 1, :] = bottom
+    return probs
 
 
 def p_joint(s: Scenario, eps: float, x: int, y: int, z: int) -> np.ndarray:
@@ -243,9 +285,9 @@ def check_probs(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape[-5:] != TABLE_SHAPE:
         raise InvalidScenarioError(f"probability table must have shape (4,2,2,2,2), got {probs.shape[-5:]}")
-    if not np.all(np.isfinite(probs)):
-        raise InvalidScenarioError("probability table has a non-finite entry")
-    if probs.min() < 0.0 or probs.max() > 1.0 + PROB_TOL:
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0 + PROB_TOL):  # NaN fails too
+        if not np.isfinite(probs).all():
+            raise InvalidScenarioError("probability table has a non-finite entry")
         raise InvalidScenarioError("probability table entries outside [0, 1]")
     sums = probs.sum(axis=(-2, -1))
     if np.abs(sums - 1.0).max() > PROB_TOL:
@@ -258,7 +300,9 @@ class ProbTable:
     """The complete conditional distribution p(b, c | x, y, z).
 
     ``probs`` has shape (4, 2, 2, 2, 2) indexed [x, y, z, b, c] with
-    outcome index 0 for +1. Immutable once built.
+    outcome index 0 for +1. Immutable once built. The p(+1 | x, s) of the
+    four witness readouts and their witnesses are derived on first use and
+    kept on the table, write-locked (``_readouts``, see `witness`).
     """
 
     probs: np.ndarray
@@ -300,6 +344,13 @@ class ProbTable:
     def p_charlie_plus(self, x: int, z: int) -> float:
         return float(self.charlie_marginal(x, z)[0])
 
+    @cached_property
+    def _readouts(self) -> tuple:
+        # derived on first use by `witness`, which builds on this module
+        from .witness import _readout_values
+
+        return _locked(_readout_values(self.probs, self.scenario.z_prior))
+
 
 def build_table(s: Scenario, eps: float) -> ProbTable:
     """Fill all 64 joint probabilities for one coupling angle."""
@@ -320,9 +371,12 @@ def p_bob_plus_closed_form(s: Scenario, eps, x: int, y: int, z: int):
     r = s.preparations[x]
     w = s.charlie_axes[z]
     nu = s.bob_axes[y]
-    ce = np.cos(eps)[..., None]
+    ce = np.cos(eps)
+    if type(eps) is float:  # no angle axis: the same operations in the same order, so the same bits
+        return float(0.5 * (1.0 + (ce * r + (1.0 - ce) * float(r.dot(w)) * w).dot(nu)))
+    ce = ce[..., None]
     r_after = ce * r + (1.0 - ce) * float(r @ w) * w
-    return _float_if_scalar(0.5 * (1.0 + r_after @ nu))
+    return 0.5 * (1.0 + r_after @ nu)
 
 
 def p_charlie_plus_closed_form(s: Scenario, eps, x: int, z: int):
@@ -336,10 +390,13 @@ def p_charlie_plus_closed_form(s: Scenario, eps, x: int, z: int):
     eps = channel.check_coupling(eps)
     r = s.preparations[x]
     w = s.charlie_axes[z]
-    q_minus = 0.5 * (1.0 - float(w @ r))
+    q_minus = 0.5 * (1.0 - float(w.dot(r)))
+    if type(eps) is float:  # no angle axis: the same operations in the same order, so the same bits
+        kicked = np.array([np.cos(2.0 * eps), -np.sin(2.0 * eps), 0.0])
+        return float(0.5 * (1.0 + ((1.0 - q_minus) * channel.PLUS_BLOCH + q_minus * kicked).dot(s.ancilla_axis)))
     kicked = np.stack([np.cos(2.0 * eps), -np.sin(2.0 * eps), np.zeros_like(eps)], axis=-1)
     anc = (1.0 - q_minus) * channel.PLUS_BLOCH + q_minus * kicked
-    return _float_if_scalar(0.5 * (1.0 + anc @ s.ancilla_axis))
+    return 0.5 * (1.0 + anc @ s.ancilla_axis)
 
 
 def curve_coefficients(s: Scenario) -> np.ndarray:
@@ -380,9 +437,20 @@ def p_joint_closed_form(s: Scenario, eps) -> np.ndarray:
 
     The independent oracle for every cell of `build_tables`.
     """
+    return _joint_from_coefficients(curve_coefficients(s), eps)
+
+
+def _joint_from_coefficients(coef: np.ndarray, eps) -> np.ndarray:
+    """`p_joint_closed_form` from coefficient tables that are already built."""
     eps = np.atleast_1d(channel.check_coupling(eps))
     basis = np.stack([np.ones_like(eps), np.cos(eps), np.sin(eps), np.cos(2.0 * eps), np.sin(2.0 * eps)], axis=-1)
-    return (basis @ curve_coefficients(s).reshape(5, -1)).reshape(eps.shape + TABLE_SHAPE)
+    return (basis @ coef.reshape(5, -1)).reshape(eps.shape + TABLE_SHAPE)
+
+
+def _locked(arrays: tuple) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _float_if_scalar(v):

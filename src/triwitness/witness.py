@@ -15,7 +15,16 @@ x is the two-bit preparation label and s a binary measurement setting
 `setting_probs` reads those eight probabilities from a table or from a
 stack of tables, and `qrac_values` / `determinant_values` evaluate the
 witnesses on such arrays, so a whole coupling grid costs one call;
-`check_witness` applies the checks of `WitnessValue` to such arrays.
+`check_witness` applies the checks of `WitnessValue` to such arrays, and
+to one value without building an array.
+
+A table has four readouts: AB averaged over z, AB at z = 0 and at z = 1,
+and AC. `w1`, `w2`, `w1_given_z` and `w2_given_z` read their value from
+the table's own cache (`ProbTable._readouts`): the p(+1 | x, s) of all
+four readouts and both witnesses of each, derived by one call of
+`_readout_values` the first time any of them (or
+`randomness.entropy_report`) asks. The table is immutable, so the values
+cannot go stale, and they go with the table.
 
 `closed_form` evaluates the analytic curves of both witnesses for the
 canonical scenarios as functions of the coupling angle; the simulation is
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_coupling
+from .channel import _SCALARS, check_coupling
 from .scenario import ProbTable
 
 __all__ = [
@@ -80,12 +89,18 @@ def check_witness(kind: str, values):
     """The checks of `WitnessValue` on one value or an array of them.
 
     Every value must be finite and within the qubit bound of ``kind``.
-    Returns the values as a float array.
+    One float, int or np.float64 comes back as a float, tested without an
+    array with the same outcome and message; anything else comes back as
+    a float array.
     """
     if kind not in ("w1", "w2"):
         raise ValueError(f"kind must be 'w1' or 'w2', got {kind!r}")
-    values = np.asarray(values, dtype=float)
     bound = QUANTUM_BOUND_W1 if kind == "w1" else QUANTUM_BOUND_W2
+    if type(values) in _SCALARS:
+        value = float(values)
+        if abs(value) <= bound + VIOLATION_TOL:  # False for NaN and +-inf as well
+            return value
+    values = np.asarray(values, dtype=float)
     ok = np.abs(values) <= bound + VIOLATION_TOL  # False for NaN and +-inf as well
     if not ok.all():
         bad = values[~ok][0]
@@ -144,16 +159,50 @@ def setting_probs(probs: np.ndarray, z_prior, pair: str, z: int | None = None) -
     raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
 
 
+#: (pair, z) of the four readouts of a table, in the order of `_readout_values`.
+_READOUTS = (("ab", None), ("ab", 0), ("ab", 1), ("ac", None))
+_READOUT_INDEX = {readout: i for i, readout in enumerate(_READOUTS)}
+
+
+def _readout_values(probs: np.ndarray, z_prior) -> tuple:
+    """(p, w1, w2) of the four `_READOUTS` of a table or a stack of tables.
+
+    p has shape (..., 4, 4, 2) and holds `setting_probs` of each readout,
+    with the same sums; w1 and w2, shape (..., 4), are `qrac_values` and
+    `determinant_values` of p. Each slice is bitwise the value of its own
+    readout.
+    """
+    bob = probs[..., 0, :].sum(axis=-1)  # (..., x, y, z)
+    p = np.empty(probs.shape[:-5] + (4, 4, 2))
+    p[..., 0, :, :] = z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
+    p[..., 1, :, :] = bob[..., 0]
+    p[..., 2, :, :] = bob[..., 1]
+    p[..., 3, :, :] = probs[..., 0, :, :, 0].sum(axis=-1)
+    return p, qrac_values(p), determinant_values(p)
+
+
+def _table_value(table: ProbTable, which: int, pair, z) -> float:
+    """Witness ``which`` (1 for w1, 2 for w2) of one readout of a table.
+
+    The four `_READOUTS` come from the table's cache; any other (pair, z)
+    is read through `setting_probs`, which validates it.
+    """
+    if type(pair) is str and (z is None or type(z) is int):
+        i = _READOUT_INDEX.get((pair, z))
+        if i is not None:
+            return float(table._readouts[which][i])
+    f = qrac_values if which == 1 else determinant_values
+    return float(f(setting_probs(table.probs, table.scenario.z_prior, pair, z)))
+
+
 def w1(table: ProbTable, pair: str = "ab", z: int | None = None) -> WitnessValue:
     """Linear witness between the sender and the selected observer."""
-    value = qrac_values(setting_probs(table.probs, table.scenario.z_prior, pair, z))
-    return WitnessValue(kind="w1", pair=pair, value=float(value), z=z)
+    return WitnessValue(kind="w1", pair=pair, value=_table_value(table, 1, pair, z), z=z)
 
 
 def w2(table: ProbTable, pair: str = "ab", z: int | None = None) -> WitnessValue:
     """Determinant witness between the sender and the selected observer."""
-    value = determinant_values(setting_probs(table.probs, table.scenario.z_prior, pair, z))
-    return WitnessValue(kind="w2", pair=pair, value=float(value), z=z)
+    return WitnessValue(kind="w2", pair=pair, value=_table_value(table, 2, pair, z), z=z)
 
 
 def w1_given_z(table: ProbTable, z: int) -> WitnessValue:

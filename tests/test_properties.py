@@ -2,12 +2,14 @@
 over random scenarios and grids."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triwitness.channel import check_coupling
 from triwitness.cli import run_sweep, sweep_row
 from triwitness.explore import w1_curves
-from triwitness.randomness import entropy_report, entropy_values, h_from_w1, h_from_w2
+from triwitness.randomness import EntropyReport, entropy_report, entropy_values, h_from_w1, h_from_w2
 from triwitness.scenario import (
     Scenario,
     build_table,
@@ -17,7 +19,18 @@ from triwitness.scenario import (
     p_charlie_plus_closed_form,
     p_joint_closed_form,
 )
-from triwitness.witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, determinant_values, qrac_values, setting_probs
+from triwitness.witness import (
+    QUANTUM_BOUND_W1,
+    QUANTUM_BOUND_W2,
+    check_witness,
+    determinant_values,
+    qrac_values,
+    setting_probs,
+    w1,
+    w1_given_z,
+    w2,
+    w2_given_z,
+)
 
 TOL = 1e-12
 
@@ -147,3 +160,122 @@ def test_w1_coefficients_vanish_outside_each_pair_basis(s):
     assert coef.shape == (5, 4, 2, 2, 2, 2)
     assert np.abs(qrac_values(setting_probs(coef, s.z_prior, "ab"))[[2, 3, 4]]).max() <= TOL
     assert np.abs(qrac_values(setting_probs(coef, s.z_prior, "ac"))[[1, 2]]).max() <= TOL
+
+
+# -- the one-table path gives the bits of the stack path -----------------------
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE doubles, the sign of zero included."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, st.floats(0.0, np.pi))
+def test_table_witnesses_are_the_witnesses_of_setting_probs(s, eps):
+    table = build_table(s, eps)
+    probs, prior = table.probs, s.z_prior
+    for pair in ("ab", "ac"):
+        assert same_bits(w1(table, pair).value, qrac_values(setting_probs(probs, prior, pair)))
+        assert same_bits(w2(table, pair).value, determinant_values(setting_probs(probs, prior, pair)))
+    for z in (0, 1):
+        assert same_bits(w1_given_z(table, z).value, qrac_values(setting_probs(probs, prior, "ab", z)))
+        assert same_bits(w2_given_z(table, z).value, determinant_values(setting_probs(probs, prior, "ab", z)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios, st.floats(0.0, np.pi))
+def test_entropy_report_is_the_one_table_stack_slice(s, eps):
+    table = build_table(s, eps)
+    w1(table, "ab")  # the report reads the witnesses this call derived
+    figures = entropy_values(table.probs[None], s.z_prior)
+    report = entropy_report(table)
+    assert list(figures) == list(EntropyReport.__dataclass_fields__)
+    for name, values in figures.items():
+        assert same_bits(getattr(report, name), values[0]), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios, st.floats(0.0, np.pi))
+def test_scalar_oracles_are_their_one_angle_array_oracles(s, eps):
+    # A longer grid takes a matrix-vector product, which may round the last
+    # bit differently from the one-angle dot product; the tests above bound it.
+    grid = np.array([eps])
+    for x, z in np.ndindex(4, 2):
+        one = p_charlie_plus_closed_form(s, eps, x, z)
+        assert type(one) is float and same_bits(one, p_charlie_plus_closed_form(s, grid, x, z))
+        for y in range(2):
+            one = p_bob_plus_closed_form(s, eps, x, y, z)
+            assert type(one) is float and same_bits(one, p_bob_plus_closed_form(s, grid, x, y, z))
+
+
+def outcome(check, *args):
+    """(value as a float, None) or (None, (exception type, message))."""
+    try:
+        return float(check(*args)), None
+    except (ValueError, OverflowError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_scalar_path_is_the_array_path(check, *head, value):
+    fast = outcome(check, *head, value)
+    array = outcome(check, *head, np.array(value, dtype=float) if isinstance(value, float) else np.array(value))
+    assert fast[1] == array[1]
+    assert fast[0] is None or same_bits(fast[0], array[0])
+
+
+EDGE_VALUES = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    np.pi * (1.0 + 2.0**-52),
+    -1e-300,
+    -0.0,
+    0.0,
+    np.pi,
+    1.0,
+    3,
+    4,
+    -1,
+    10**400,
+    np.float64(0.5),
+    np.float64(np.nan),
+    np.float64(-0.0),
+    1.0 + 2.0**-52,
+    2.0 * np.sqrt(2.0) + 1e-9,
+    2.0 * np.sqrt(2.0) + 2e-9,
+    -2.0 * np.sqrt(2.0) - 2e-9,
+    -1.0 - 2.0**-52,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_check_coupling_scalar_path_edges(value):
+    assert_scalar_path_is_the_array_path(check_coupling, value=value)
+
+
+@pytest.mark.parametrize("kind", ["w1", "w2"])
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_check_witness_scalar_path_edges(kind, value):
+    assert_scalar_path_is_the_array_path(check_witness, kind, value=value)
+
+
+def test_scalar_paths_reject_and_accept_the_named_edges():
+    for value in (float("nan"), float("inf"), float("-inf"), np.pi * (1.0 + 2.0**-52), -1e-300):
+        assert outcome(check_coupling, value)[0] is None
+    for value in (-0.0, 3, np.float64(1.5)):
+        assert outcome(check_coupling, value)[1] is None
+    assert same_bits(check_coupling(-0.0), -0.0)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        assert outcome(check_witness, "w1", value)[1] == (ValueError, f"w1 value {value} is not finite")
+    assert type(check_witness("w2", np.float64(0.25))) is float
+
+
+@given(st.one_of(st.floats(), st.integers(-5, 5), st.floats().map(np.float64)))
+def test_check_coupling_scalar_path_matches_the_array_path(value):
+    assert_scalar_path_is_the_array_path(check_coupling, value=value)
+
+
+@given(st.sampled_from(["w1", "w2"]), st.one_of(st.floats(), st.integers(-5, 5), st.floats().map(np.float64)))
+def test_check_witness_scalar_path_matches_the_array_path(kind, value):
+    assert_scalar_path_is_the_array_path(check_witness, kind, value=value)
