@@ -13,8 +13,8 @@ Angles are radians everywhere. All numeric output is rounded to 12
 significant digits, which makes repeated runs byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-an angle outside [0, pi], more than 10 001 grid points, a malformed or
-unreadable scenario file).
+an angle outside [0, pi], more than 10 001 grid points, more than 6 400
+restarts, a negative seed, a malformed or unreadable scenario file).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ SWEEP_COLUMNS = (
 )
 #: Largest accepted --steps, 100 times the default grid.
 MAX_STEPS = 10_001
-#: (pair, z) of the three readouts the sweep's witness columns use.
-_SWEEP_READOUTS = (("ab", None), ("ac", None), ("ab", 0))
+#: Largest accepted --restarts, 100 times the default.
+MAX_RESTARTS = 6_400
 
 
 def _sci(v: float) -> str:
@@ -81,21 +81,21 @@ def _round_values(d: dict) -> dict:
 
 def _sweep_rows(probs: np.ndarray, z_prior, grid) -> list[dict]:
     """Sweep rows of a stack of tables: every column is one array over the grid."""
-    plus = np.stack([wit.setting_probs(probs, z_prior, *readout) for readout in _SWEEP_READOUTS], axis=-3)
-    w1 = wit.check_witness("w1", wit.qrac_values(plus))  # (eps, readout)
-    w2 = wit.check_witness("w2", wit.determinant_values(plus))
-    entropies = rnd.entropy_values(probs, z_prior)
+    _, w1, w2 = wit._readout_values(probs, z_prior)  # (eps, readout): AB, AB at z = 0, AB at z = 1, AC
+    w1 = wit.check_witness("w1", w1)
+    w2 = wit.check_witness("w2", w2)
+    entropies = rnd._figures(probs, z_prior, w1, w2)
     columns = {
         "epsilon": np.asarray(grid, dtype=float),
         "w1_ab": w1[:, 0],
-        "w1_ac": w1[:, 1],
+        "w1_ac": w1[:, 3],
         "w2_ab": w2[:, 0],
-        "w2_ac": w2[:, 1],
-        "w1_ab_z0": w1[:, 2],
-        "w2_ab_z0": w2[:, 2],
-        "h_bob_w1": rnd.h_from_w1(w1[:, 2]),
-        "h_bob_w2": rnd.h_from_w2(w2[:, 2]),
-        "h_charlie": rnd.h_from_w1(w1[:, 1]),
+        "w2_ac": w2[:, 3],
+        "w1_ab_z0": w1[:, 1],
+        "w2_ab_z0": w2[:, 1],
+        "h_bob_w1": rnd.h_from_w1(w1[:, 1]),
+        "h_bob_w2": rnd.h_from_w2(w2[:, 1]),
+        "h_charlie": rnd.h_from_w1(w1[:, 3]),
         "hmin_global_exact": entropies["hmin_global_exact"],
         "hmin_global_bound": entropies["hmin_global_bound"],
     }
@@ -177,31 +177,26 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
     coupling angles, which is reported informationally per scenario in the
     row named ``entropy_bound_excess_w1_scenario_info``.
 
-    Each canonical scenario's grid is built by one engine call; every check
-    then compares an expected array with an actual array over the grid.
+    Each canonical scenario's grid is built by one engine call and read by
+    one `witness._readout_values` call; every check then compares an
+    expected array with an actual array over the grid.
     """
     grid = np.linspace(0.0, pi, grid_steps)
     zero = np.zeros(grid_steps)
     scenarios = {"w1": canonical_w1_scenario(), "w2": canonical_w2_scenario()}
     probs = {label: build_tables(scn, grid) for label, scn in scenarios.items()}
+    readouts = {label: wit._readout_values(probs[label], scn.z_prior) for label, scn in scenarios.items()}
     report: list[dict] = []
 
     def row(name, actual, expected=zero, tol=tolerance):
         report.append(_worst(name, grid, expected, actual, tol))
 
-    def setting_probs(label, pair, z=None):
-        return wit.setting_probs(probs[label], scenarios[label].z_prior, pair, z)
-
     # the six analytic witness curves (z-conditioned ones for both z)
-    curves = {
-        "w1_ab": wit.qrac_values(setting_probs("w1", "ab")),
-        "w1_ac": wit.qrac_values(setting_probs("w1", "ac")),
-        "w2_ab": wit.determinant_values(setting_probs("w2", "ab")),
-        "w2_ac": wit.determinant_values(setting_probs("w2", "ac")),
-    }
+    w1, w2 = readouts["w1"][1], readouts["w2"][2]  # (eps, readout): AB, AB at z = 0, AB at z = 1, AC
+    curves = {"w1_ab": w1[:, 0], "w1_ac": w1[:, 3], "w2_ab": w2[:, 0], "w2_ac": w2[:, 3]}
     for z in (0, 1):
-        curves[f"w1_ab_z{z}"] = wit.qrac_values(setting_probs("w1", "ab", z))
-        curves[f"w2_ab_z{z}"] = wit.determinant_values(setting_probs("w2", "ab", z))
+        curves[f"w1_ab_z{z}"] = w1[:, 1 + z]
+        curves[f"w2_ab_z{z}"] = w2[:, 1 + z]
     for name, actual in curves.items():  # both z share one closed form, e.g. w1_ab_z
         row(f"closed_form[{name}]", actual, wit.closed_form(name.rstrip("01"), grid))
 
@@ -215,12 +210,12 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
 
     # independent Bloch-algebra oracle for every marginal probability
     for label, scn in scenarios.items():
-        bob = probs[label][..., 0, :].sum(axis=-1)  # (eps, x, y, z): p(b = +1 | x, y, z)
+        bob = readouts[label][0][:, 1:3]  # (eps, z, x, y): p(b = +1 | x, y, z)
         oracle = np.empty_like(bob)
         for x, y, z in np.ndindex(4, 2, 2):
-            oracle[:, x, y, z] = p_bob_plus_closed_form(scn, grid, x, y, z)
+            oracle[:, z, x, y] = p_bob_plus_closed_form(scn, grid, x, y, z)
         row(f"bloch_oracle_bob[{label}_scenario]", np.abs(bob - oracle).max(axis=(1, 2, 3)))
-        charlie = setting_probs(label, "ac")  # (eps, x, z): p(c = +1 | x, z)
+        charlie = readouts[label][0][:, 3]  # (eps, x, z): p(c = +1 | x, z)
         oracle = np.empty_like(charlie)
         for x, z in np.ndindex(4, 2):
             oracle[:, x, z] = p_charlie_plus_closed_form(scn, grid, x, z)
@@ -243,7 +238,7 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
 
     # entropy bound dominance holds throughout the determinant scenario
     def bound_excess(label):
-        figures = rnd.entropy_values(probs[label], scenarios[label].z_prior)
+        figures = rnd._figures(probs[label], scenarios[label].z_prior, *readouts[label][1:])
         return np.maximum(0.0, figures["hmin_global_bound"] - figures["hmin_global_exact"])
 
     row("entropy_bound_dominance[w2_scenario]", bound_excess("w2"))
@@ -309,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("w1_ab", "w1_ac", "w2_ab", "w2_ac"), default="w1_ab")
     p.add_argument("--eps", type=float, default=0.0, help="coupling angle, radians")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=64)
+    p.add_argument("--restarts", type=int, default=64, help=f"number of restarts (1 to {MAX_RESTARTS})")
     p.add_argument("--tol", type=float, default=1e-9, help="stationarity tolerance, |gradient| / |value|")
     p.add_argument("--allow-mixed", action="store_true", help="accepted; pure preparations are optimal")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -372,15 +367,20 @@ def _cmd_thresholds(parser, args) -> int:
 def _cmd_optimize(parser, args) -> int:
     if args.restarts < 1:
         parser.error("restarts must be >= 1")
+    if args.restarts > MAX_RESTARTS:  # checked before the search allocates (restarts, k, 3)
+        raise UsageError(f"restarts must be at most {MAX_RESTARTS}, got {args.restarts}")
     _check_tol(parser, args.tol)
-    cfg = OptimizeConfig(
-        target=args.target,
-        eps=args.eps,
-        restarts=args.restarts,
-        seed=args.seed,
-        tolerance=args.tol,
-        allow_mixed=args.allow_mixed,
-    )
+    try:
+        cfg = OptimizeConfig(
+            target=args.target,
+            eps=args.eps,
+            restarts=args.restarts,
+            seed=args.seed,
+            tolerance=args.tol,
+            allow_mixed=args.allow_mixed,
+        )
+    except ValueError as exc:  # a negative seed or a coupling outside [0, pi]
+        raise UsageError(str(exc)) from exc
     result = optimize_settings(cfg)
     summary = {
         "target": cfg.target,

@@ -34,7 +34,7 @@ from .scenario import (
     curve_coefficients,
 )
 from .spheres import minimize, unit  # looked up here per search, so wrapping explore.minimize sees every call
-from .witness import QRAC_SIGNS, determinant_values, qrac_values, setting_probs, w1, w2
+from .witness import QRAC_SIGNS, _readout_index, _readout_values, w1, w2
 
 __all__ = [
     "OptimizeConfig",
@@ -74,6 +74,8 @@ class OptimizeConfig:
         check_coupling(self.eps)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -242,7 +244,8 @@ def w1_curves(s: Scenario) -> dict:
     gap = np.abs(build_tables(s, nodes) - _joint_from_coefficients(coef, nodes)).max()
     if gap > _CURVE_TOL:
         raise RuntimeError(f"the engine misses its curve model by {gap:.3g}")
-    return {pair: qrac_values(setting_probs(coef, s.z_prior, pair))[basis] for pair, basis in _W1_BASES.items()}
+    w1_of_coef = _readout_values(coef, s.z_prior)[1]  # (basis term, readout)
+    return {pair: w1_of_coef[basis, _readout_index(pair, None)] for pair, basis in _W1_BASES.items()}
 
 
 def _w1_window(curves: dict) -> Window:
@@ -285,9 +288,9 @@ def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     if kind == "w2":
         s = canonical_w2_scenario()
         spots = np.array([0.1, pi / 2.0, 3.0])
-        probs = build_tables(s, spots)
+        w2_at_spots = _readout_values(build_tables(s, spots), s.z_prior)[2]  # (spot, readout)
         for pair in ("ab", "ac"):
-            bad = spots[determinant_values(setting_probs(probs, s.z_prior, pair)) <= 0.0]
+            bad = spots[w2_at_spots[:, _readout_index(pair, None)] <= 0.0]
             if bad.size:
                 raise RuntimeError(f"determinant witness for pair {pair} not positive at eps={bad[0]}")
         return Window(lo=0.0, hi=pi, kind="w2")

@@ -8,10 +8,11 @@ best guessing probability. All entropies are in bits.
 tables (..., 4, 2, 2, 2, 2) with array operations, so a coupling grid costs
 one call; `entropy_report` and the `hmin_*` functions are its one-table
 slices, and `h_from_w1` / `h_from_w2` take one witness value or an array.
-`entropy_report` takes the witness values of its table from the table's
-own cache (`ProbTable._readouts`, see `witness`), which the witness
-accessors share, so a request that reads both derives them once; the
-table is immutable, so they cannot go stale.
+The certified rates read their witnesses from `witness._readout_values`:
+`entropy_values` calls it once per stack, and `entropy_report` takes its
+table's cached result (`ProbTable._readouts`), which the witness accessors
+share, so a request that reads both derives them once; the table is
+immutable, so they cannot go stale.
 
 Certification below the classical bound is defined as zero: a linear
 witness at or under 2 certifies nothing, so `h_from_w1` clamps there
@@ -68,8 +69,8 @@ def _guesses(probs: np.ndarray, z_prior) -> np.ndarray:
     Entries: the joint (b, c) guess, Bob's z-averaged guess and Charlie's
     guess (each averaged over the inputs), and Bob's worst-case z-known
     guess. Both outcomes of each marginal are summed from the table as
-    `witness.setting_probs` sums the +1 outcome, so neither is taken as a
-    complement.
+    `witness._readout_values` sums the +1 outcome, so neither is taken as
+    a complement.
     """
     bob_z = probs.sum(axis=-1)  # (..., x, y, z, b)
     bob = z_prior[0] * bob_z[..., 0, :] + z_prior[1] * bob_z[..., 1, :]  # (..., x, y, b)

@@ -33,8 +33,10 @@ that one-table requests do not derive it again and nothing outlives them:
   and the two kick terms), built on the first engine call, not when the
   scenario is made;
 * a `ProbTable` keeps the p(+1 | x, s) of its four witness readouts and
-  their two witnesses, derived by `witness` on first use, for the witness
-  accessors and `randomness.entropy_report`.
+  their two witnesses, derived by `witness._readout_values` on first use,
+  for the witness accessors, `randomness.entropy_report` and its own three
+  readers of one probability (`ProbTable.p_bob_plus`, `p_bob_plus_given_z`
+  and `p_charlie_plus`), which are slices of them.
 
 Every field of both is write-locked, so neither cache can go stale.
 """
@@ -302,7 +304,8 @@ class ProbTable:
     ``probs`` has shape (4, 2, 2, 2, 2) indexed [x, y, z, b, c] with
     outcome index 0 for +1. Immutable once built. The p(+1 | x, s) of the
     four witness readouts and their witnesses are derived on first use and
-    kept on the table, write-locked (``_readouts``, see `witness`).
+    kept on the table, write-locked (``_readouts``, see `witness`); the
+    three ``p_*`` readers are slices of them.
     """
 
     probs: np.ndarray
@@ -318,31 +321,23 @@ class ProbTable:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "eps", float(self.eps))
 
-    def joint(self, x: int, y: int, z: int) -> np.ndarray:
-        """The (2, 2) distribution over (b, c) for one input triple."""
-        return self.probs[x, y, z]
-
-    def bob_marginal_given_z(self, x: int, y: int, z: int) -> np.ndarray:
-        """Bob's outcome distribution with z known."""
-        return self.probs[x, y, z].sum(axis=1)
-
-    def bob_marginal(self, x: int, y: int) -> np.ndarray:
-        """Bob's outcome distribution averaged over z with the prior."""
-        prior = self.scenario.z_prior
-        return prior[0] * self.bob_marginal_given_z(x, y, 0) + prior[1] * self.bob_marginal_given_z(x, y, 1)
-
-    def charlie_marginal(self, x: int, z: int) -> np.ndarray:
-        """Charlie's outcome distribution (y-independent; stored at y = 0)."""
-        return self.probs[x, 0, z].sum(axis=0)
-
     def p_bob_plus(self, x: int, y: int) -> float:
-        return float(self.bob_marginal(x, y)[0])
+        """p(b = +1 | x, y), averaged over z with the prior."""
+        return self._plus("ab", None, x, y)
 
     def p_bob_plus_given_z(self, x: int, y: int, z: int) -> float:
-        return float(self.bob_marginal_given_z(x, y, z)[0])
+        """p(b = +1 | x, y, z); ``z`` must be 0 or 1 (None gives `p_bob_plus`)."""
+        return self._plus("ab", z, x, y)
 
     def p_charlie_plus(self, x: int, z: int) -> float:
-        return float(self.charlie_marginal(x, z)[0])
+        """p(c = +1 | x, z), which does not depend on y."""
+        return self._plus("ac", None, x, z)
+
+    def _plus(self, pair: str, z, x: int, s: int) -> float:
+        # p(+1 | x, s) of readout (pair, z), a slice of the cached readouts
+        from .witness import _readout_index
+
+        return float(self._readouts[0][_readout_index(pair, z), x, s])
 
     @cached_property
     def _readouts(self) -> tuple:

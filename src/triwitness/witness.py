@@ -12,19 +12,17 @@ x is the two-bit preparation label and s a binary measurement setting
   maximum 1. The signed determinant is returned; violation is judged on
   its magnitude because the sign flips under relabeling of settings.
 
-`setting_probs` reads those eight probabilities from a table or from a
-stack of tables, and `qrac_values` / `determinant_values` evaluate the
-witnesses on such arrays, so a whole coupling grid costs one call;
-`check_witness` applies the checks of `WitnessValue` to such arrays, and
-to one value without building an array.
-
 A table has four readouts: AB averaged over z, AB at z = 0 and at z = 1,
-and AC. `w1`, `w2`, `w1_given_z` and `w2_given_z` read their value from
-the table's own cache (`ProbTable._readouts`): the p(+1 | x, s) of all
-four readouts and both witnesses of each, derived by one call of
-`_readout_values` the first time any of them (or
-`randomness.entropy_report`) asks. The table is immutable, so the values
-cannot go stale, and they go with the table.
+and AC. `_readout_values` is the one function that sums table cells into
+their p(+1 | x, s) and evaluates both witnesses on each, for a table or a
+stack of tables, so a whole coupling grid costs one call; `_readout_index`
+is the one map from (pair, z) to a readout. Every other reader is a slice
+of them: `setting_probs`, and for one table `w1`, `w2`, `w1_given_z` and
+`w2_given_z`, which read the table's own cache (`ProbTable._readouts`),
+filled on first use. The table is immutable, so the values cannot go
+stale. `qrac_values` and `determinant_values` evaluate the witnesses on
+arrays of p(+1 | x, s); `check_witness` applies the checks of
+`WitnessValue` to such arrays, and to one value without building an array.
 
 `closed_form` evaluates the analytic curves of both witnesses for the
 canonical scenarios as functions of the coupling angle; the simulation is
@@ -143,56 +141,52 @@ def setting_probs(probs: np.ndarray, z_prior, pair: str, z: int | None = None) -
     ``probs`` is a table or a stack of tables, (..., 4, 2, 2, 2, 2) indexed
     [x, y, z, b, c]. The AB pair averages Bob's outcome over z with
     ``z_prior`` unless ``z`` fixes it; the AC pair reads Charlie's outcome,
-    whose setting is z itself (stored at y = 0).
+    whose setting is z itself. The slice `_readout_index` picks out of
+    `_readout_values`.
+    """
+    i = _readout_index(pair, z)
+    return _readout_values(probs, z_prior)[0][..., i, :, :]
+
+
+def _readout_index(pair: str, z: int | None) -> int:
+    """Index of readout (pair, z) in `_readout_values`, after validating both.
+
+    0 is AB averaged over z, 1 and 2 are AB at z = 0 and z = 1, 3 is AC.
+    ``z`` is None or an integer 0 or 1; a bool or a float is rejected.
     """
     if pair == "ab":
-        bob = probs[..., 0, :].sum(axis=-1)  # (..., x, y, z)
         if z is None:
-            return z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
-        if z not in (0, 1):
-            raise ValueError(f"z must be 0 or 1, got {z!r}")
-        return bob[..., z]
+            return 0
+        if isinstance(z, (int, np.integer)) and not isinstance(z, bool) and z in (0, 1):
+            return 1 + int(z)
+        raise ValueError(f"z must be 0 or 1, got {z!r}")
     if pair == "ac":
         if z is not None:
             raise ValueError("the AC pair uses z itself as the setting; conditioning on z is meaningless")
-        return probs[..., 0, :, :, 0].sum(axis=-1)  # (..., x, z)
+        return 3
     raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
 
 
-#: (pair, z) of the four readouts of a table, in the order of `_readout_values`.
-_READOUTS = (("ab", None), ("ab", 0), ("ab", 1), ("ac", None))
-_READOUT_INDEX = {readout: i for i, readout in enumerate(_READOUTS)}
-
-
 def _readout_values(probs: np.ndarray, z_prior) -> tuple:
-    """(p, w1, w2) of the four `_READOUTS` of a table or a stack of tables.
+    """(p, w1, w2) of the four readouts of a table or a stack of tables.
 
-    p has shape (..., 4, 4, 2) and holds `setting_probs` of each readout,
-    with the same sums; w1 and w2, shape (..., 4), are `qrac_values` and
-    `determinant_values` of p. Each slice is bitwise the value of its own
-    readout.
+    The only place that sums table cells into p(+1 | x, s). p has shape
+    (..., 4, 4, 2) indexed [readout, x, s], readouts in the order of
+    `_readout_index`; w1 and w2, shape (..., 4), are `qrac_values` and
+    `determinant_values` of p.
     """
     bob = probs[..., 0, :].sum(axis=-1)  # (..., x, y, z)
     p = np.empty(probs.shape[:-5] + (4, 4, 2))
     p[..., 0, :, :] = z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
     p[..., 1, :, :] = bob[..., 0]
     p[..., 2, :, :] = bob[..., 1]
-    p[..., 3, :, :] = probs[..., 0, :, :, 0].sum(axis=-1)
+    p[..., 3, :, :] = probs[..., 0, :, :, 0].sum(axis=-1)  # Charlie's +1, stored at y = 0
     return p, qrac_values(p), determinant_values(p)
 
 
 def _table_value(table: ProbTable, which: int, pair, z) -> float:
-    """Witness ``which`` (1 for w1, 2 for w2) of one readout of a table.
-
-    The four `_READOUTS` come from the table's cache; any other (pair, z)
-    is read through `setting_probs`, which validates it.
-    """
-    if type(pair) is str and (z is None or type(z) is int):
-        i = _READOUT_INDEX.get((pair, z))
-        if i is not None:
-            return float(table._readouts[which][i])
-    f = qrac_values if which == 1 else determinant_values
-    return float(f(setting_probs(table.probs, table.scenario.z_prior, pair, z)))
+    """Witness ``which`` (1 for w1, 2 for w2) of one readout, from the table's cache."""
+    return float(table._readouts[which][_readout_index(pair, z)])
 
 
 def w1(table: ProbTable, pair: str = "ab", z: int | None = None) -> WitnessValue:

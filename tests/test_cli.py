@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from triwitness.cli import MAX_STEPS, SWEEP_COLUMNS, main, run_sweep, run_verify
+from triwitness import cli, explore
+from triwitness.cli import MAX_RESTARTS, MAX_STEPS, SWEEP_COLUMNS, main, run_sweep, run_verify
 from triwitness.scenario import canonical_w2_scenario
 
 
@@ -143,6 +144,27 @@ def test_optimize_coupling_outside_zero_to_pi_is_a_usage_error(eps, capsys):
 @pytest.mark.parametrize("command", ["table", "randomness"])
 def test_coupling_outside_zero_to_pi_is_a_usage_error(command, capsys):
     assert_usage_error([command, "--eps", "4"], capsys, "coupling angle")
+
+
+def test_optimize_negative_seed_is_a_usage_error(capsys):
+    assert_usage_error(["optimize", "--seed", "-1", "--restarts", "2"], capsys, "seed must be >= 0")
+
+
+class Reached(Exception):
+    """Raised by a stand-in for a step that a refused request must never reach."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+def test_optimize_restarts_above_the_maximum_is_a_usage_error_before_any_search(monkeypatch, capsys):
+    monkeypatch.setattr(explore.np.random, "default_rng", reached)
+    monkeypatch.setattr(explore, "minimize", reached)
+    assert_usage_error(["optimize", "--restarts", str(MAX_RESTARTS + 1)], capsys, f"at most {MAX_RESTARTS}")
+    monkeypatch.setattr(cli, "optimize_settings", reached)  # the maximum itself goes on to the search
+    with pytest.raises(Reached):
+        main(["optimize", "--restarts", str(MAX_RESTARTS)])
 
 
 def test_scenario_file_with_nan_preparation_is_a_usage_error(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_config_validation():
         OptimizeConfig(target="w1_ab", restarts=0)
     with pytest.raises(ValueError):
         OptimizeConfig(target="w1_ab", tolerance=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        OptimizeConfig(target="w1_ab", seed=-1)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0, 4.0, float("inf")])

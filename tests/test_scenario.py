@@ -127,7 +127,7 @@ def test_p_bob_examples():
     assert abs(build_table(s, 0.0).p_bob_plus(0, 0) - P_BOB_W1_EPS0) < 1e-12
     assert abs(build_table(s, np.pi / 2).p_bob_plus(0, 0) - P_BOB_W1_HALFPI) < 1e-12
     for eps in np.linspace(0, np.pi, 23):
-        dist = build_table(s, eps).bob_marginal(0, 0)
+        dist = s.z_prior @ build_table(s, eps).probs[0, 0].sum(axis=-1)  # Bob's (b) averaged over z
         assert abs(dist.sum() - 1.0) < 1e-12
         assert abs(dist[0] - (0.5 + (1 + np.cos(eps)) / (4 * np.sqrt(2)))) < 1e-12
 
@@ -136,8 +136,8 @@ def test_p_charlie_examples():
     s = canonical_w1_scenario()
     for x in range(4):
         for z in range(2):
-            assert np.array_equal(build_table(s, 0.0).charlie_marginal(x, z), [1.0, 0.0])
-    assert abs(build_table(s, np.pi / 2).charlie_marginal(0, 0)[1] - P_CHARLIE_MINUS_HALFPI) < 1e-12
+            assert np.array_equal(build_table(s, 0.0).probs[x, 0, z].sum(axis=0), [1.0, 0.0])
+    assert abs(build_table(s, np.pi / 2).probs[0, 0, 0, :, 1].sum() - P_CHARLIE_MINUS_HALFPI) < 1e-12
     # preparation aligned with the interaction axis never kicks the ancilla
     aligned = Scenario(
         preparations=[[1, 0, 0]] * 4,
@@ -146,7 +146,7 @@ def test_p_charlie_examples():
         ancilla_axis=[1, 0, 0],
     )
     for eps in (0.3, 1.5, 3.0):
-        assert build_table(aligned, eps).charlie_marginal(0, 0)[1] < 1e-15
+        assert build_table(aligned, eps).probs[0, 0, 0, :, 1].sum() < 1e-15
         assert p_joint_closed_form(aligned, eps)[0, 0, :, 0, :, 1].max() < 1e-15
 
 
@@ -157,7 +157,7 @@ def test_z_averaging():
         for x in range(4):
             for y in range(2):
                 avg = 0.5 * p_bob_plus_closed_form(s, eps, x, y, 0) + 0.5 * p_bob_plus_closed_form(s, eps, x, y, 1)
-                assert np.abs(t.bob_marginal(x, y) - [avg, 1.0 - avg]).max() < 1e-12
+                assert np.abs(s.z_prior @ t.probs[x, y].sum(axis=-1) - [avg, 1.0 - avg]).max() < 1e-12
 
 
 def test_nonuniform_prior_enters_p_bob():
@@ -171,8 +171,9 @@ def test_nonuniform_prior_enters_p_bob():
     )
     eps = 1.1
     t = build_table(skew, eps)
-    expected = 0.25 * t.bob_marginal_given_z(0, 1, 0) + 0.75 * t.bob_marginal_given_z(0, 1, 1)
-    assert np.abs(t.bob_marginal(0, 1) - expected).max() < 1e-15
+    bob = t.probs[0, 1].sum(axis=-1)  # (z, b)
+    expected = 0.25 * bob[0] + 0.75 * bob[1]
+    assert abs(t.p_bob_plus(0, 1) - expected[0]) < 1e-15
     oracle = 0.25 * p_bob_plus_closed_form(skew, eps, 0, 1, 0) + 0.75 * p_bob_plus_closed_form(skew, eps, 0, 1, 1)
     assert abs(t.p_bob_plus(0, 1) - oracle) < 1e-12
     assert abs(t.p_bob_plus(0, 1) - build_table(base, eps).p_bob_plus(0, 1)) > 1e-3  # the prior matters here
@@ -200,10 +201,10 @@ def test_table_marginals_match_channel_marginals(w1_tables, w2_tables):
                 for z in range(2):
                     w = s.charlie_axes[z]
                     charlie = np.trace(projector(s.ancilla_axis) @ charlie_state(rho, w, eps)).real
-                    assert np.abs(t.charlie_marginal(x, z) - [charlie, 1.0 - charlie]).max() < 1e-12
+                    assert np.abs(t.probs[x, 0, z].sum(axis=0) - [charlie, 1.0 - charlie]).max() < 1e-12
                     for y in range(2):
                         bob = np.trace(projector(s.bob_axes[y]) @ bob_state(rho, w, eps)).real
-                        assert np.abs(t.bob_marginal_given_z(x, y, z) - [bob, 1.0 - bob]).max() < 1e-12
+                        assert np.abs(t.probs[x, y, z].sum(axis=1) - [bob, 1.0 - bob]).max() < 1e-12
 
 
 def test_no_signaling_to_charlie_bitwise(w1_tables, w2_tables):
@@ -269,7 +270,7 @@ def test_p_joint_and_build_table_are_slices_of_the_engine():
     table = build_table(s, 1.3)
     for x, y, z in np.ndindex(4, 2, 2):
         assert np.array_equal(p_joint(s, 1.3, x, y, z), stack[1, x, y, z])
-        assert np.array_equal(table.joint(x, y, z), stack[1, x, y, z])
+        assert np.array_equal(table.probs[x, y, z], stack[1, x, y, z])
 
 
 def test_marginal_channels_broadcast_over_angles():
