@@ -2,8 +2,10 @@
 
 A seeded multi-start search should land on the known qubit maxima:
 2*sqrt(2) for the linear witness and 1 for the determinant. The four
-preparations are solved in closed form for any measurement axes, and all
-64 restarts climb over the axes together by projected gradient ascent.
+preparations and Bob's two axes are solved in closed form for any of
+Charlie's axes, and all 64 restarts climb over Charlie's two axes together
+by projected gradient ascent. At eps = 0 nothing couples Bob to Charlie's
+axes, so the first evaluation is already stationary.
 The search never sees the canonical settings; finding the same values from
 random starts certifies the canonical construction numerically.
 

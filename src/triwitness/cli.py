@@ -367,7 +367,7 @@ def _cmd_thresholds(parser, args) -> int:
 def _cmd_optimize(parser, args) -> int:
     if args.restarts < 1:
         parser.error("restarts must be >= 1")
-    if args.restarts > MAX_RESTARTS:  # checked before the search allocates (restarts, k, 3)
+    if args.restarts > MAX_RESTARTS:  # checked before the search allocates (restarts, 2, 3)
         raise UsageError(f"restarts must be at most {MAX_RESTARTS}, got {args.restarts}")
     _check_tol(parser, args.tol)
     try:

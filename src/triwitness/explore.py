@@ -5,9 +5,11 @@ coupling angle by search. Every probability a witness reads is affine in
 the preparation, p(+1 | x, s) = a_s + r_x . m_s / 2, so the best
 preparations have a closed form (the see-saw step of Pawlowski & Brunner,
 PRA 84, 010302 (2011)), leaving W1 = |m0 + m1| + |m0 - m1| and
-W2 = |m0 x m1| to be maximized over the unit measurement axes alone, all
-restarts as one numpy batch. The best settings are re-evaluated through
-the full density-matrix simulation.
+W2 = |m0 x m1|. Bob's axes and the ancilla readout have closed forms too
+(Bob's from the eigenvectors of his dephasing matrix), and by the same
+envelope argument they drop out of the gradient, so the search climbs over
+Charlie's two interaction axes alone, all restarts as one numpy batch. The
+best settings are re-evaluated through the full density-matrix simulation.
 
 `find_violation_window` solves in closed form for the coupling angles where
 the double violation of the linear witness pair starts and ends: both
@@ -48,6 +50,7 @@ __all__ = [
 _TARGETS = ("w1_ab", "w1_ac", "w2_ab", "w2_ac")
 _SIGNS = np.array(QRAC_SIGNS, dtype=float)  # (x, s) signs of the linear witness
 _X_AXIS, _Z_AXIS = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+_PLUS_MINUS = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,14 @@ class OptimizeConfig:
         if self.target not in _TARGETS:
             raise ValueError(f"target must be one of {_TARGETS}, got {self.target!r}")
         check_coupling(self.eps)
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("restarts", 1), ("seed", 0), ("max_iterations", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not (isfinite(self.tolerance) and self.tolerance > 0.0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -113,44 +116,55 @@ class Window:
             raise ValueError(f"window ({self.lo}, {self.hi}) is not inside [0, pi]")
 
 
-def _measurement_map(pair: str, eps: float):
-    """(k, m_of) for one observer pair under a uniform z prior.
+def _measurement_map(kind: str, pair: str, eps: float):
+    """``m_of`` for one witness and observer pair under a uniform z prior.
 
-    k is the number of unit axes searched; ``m_of`` maps an axis batch
-    (R, k, 3) to the measurement vectors m (R, 2, 3) and to the adjoint that
-    takes a gradient in m to one in the axes.
+    The search runs over Charlie's two interaction axes om (R, 2, 3) alone:
+    every other axis is solved in closed form for om. ``m_of(om)`` returns
+    the measurement vectors m (R, 2, 3), the adjoint that takes a gradient
+    in m to one in om (by the envelope theorem, with the solved axes held
+    fixed), and the solved axes: Bob's (R, 2, 3) for AB, the ancilla axis
+    (3,) for AC, which does not depend on om.
 
-    * AB, axes (nu0, nu1, om0, om1): Bob's vector is partially dephased
-      toward Charlie's axes, m_y = M nu_y with M = c I + h sum_z om_z om_z^T.
-    * AC, axes (om0, om1, t): the ancilla readout gains d = t . kick from
-      the -om_z half of the preparation, m_z = -d om_z.
+    * AB: Bob's vector is partially dephased toward Charlie's axes,
+      m_y = M nu_y with M = c I + h sum_z om_z om_z^T. With e1, e2 the
+      eigenvectors of M of the two largest |eigenvalues| s1 >= s2, W1 takes
+      nu = cos th e1 +- sin th e2 with tan th = s2 / s1, worth
+      2 sqrt(s1^2 + s2^2), and W2 takes nu = (e1, e2), worth s1 s2; no pair
+      of unit axes does better (Ky Fan). s1 >= max(|c|, (1 + c) / 2) > 0.
+    * AC: the ancilla readout gains d = t . kick from the -om_z half of the
+      preparation, m_z = -d om_z, so t = kick / |kick| gives d = |kick|.
     """
     if pair == "ab":
         c, h = cos(eps), 0.5 * (1.0 - cos(eps))
 
-        def m_of(axes):
-            nu, om = axes[:, :2], axes[:, 2:]
+        def m_of(om):
             mat = c * np.eye(3) + h * om.transpose(0, 2, 1) @ om
+            lam, vec = np.linalg.eigh(mat)
+            top = np.argsort(-np.abs(lam), axis=1)[:, :2]
+            e = np.take_along_axis(vec, top[:, None, :], axis=2).transpose(0, 2, 1)  # rows e1, e2
+            if kind == "w1":
+                cs = unit(np.abs(np.take_along_axis(lam, top, axis=1)))[:, :, None]  # (cos th, sin th)
+                nu = cs[:, :1] * e[:, :1] + _PLUS_MINUS * cs[:, 1:] * e[:, 1:]
+            else:
+                nu = e
 
             def pull_back(dm):
                 outer = dm.transpose(0, 2, 1) @ nu
-                return np.concatenate([dm @ mat, h * om @ (outer + outer.transpose(0, 2, 1))], axis=1)
+                return h * om @ (outer + outer.transpose(0, 2, 1))
 
-            return nu @ mat, pull_back
+            return nu @ mat, pull_back, nu
 
-        return 4, m_of
+        return m_of
 
     kick = -sin(eps) * np.array([sin(eps), cos(eps), 0.0])
+    t = unit(kick, _X_AXIS)
+    d = float(t @ kick)
 
-    def m_of(axes):
-        om, d = axes[:, :2], (axes[:, 2] @ kick)[:, None, None]
+    def m_of(om):
+        return -d * om, lambda dm: -d * dm, t
 
-        def pull_back(dm):
-            return np.concatenate([-d * dm, -np.sum(dm * om, axis=(1, 2), keepdims=True) * kick], axis=1)
-
-        return -d * om, pull_back
-
-    return 3, m_of
+    return m_of
 
 
 def _best_preparations(kind: str, m: np.ndarray) -> np.ndarray:
@@ -184,31 +198,49 @@ def _witness_of_m(kind: str, m: np.ndarray):
     return a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1], dm
 
 
+def _starts(seed: int, restarts: int) -> np.ndarray:
+    """Charlie's two axes (restarts, 2, 3) for each restart, from a seeded PCG64.
+
+    Each axis is uniform on the sphere. Every target depends on the axes
+    only through the angle between them, and W2_AB has a local maximum at
+    parallel axes beside the global one at orthogonal axes for
+    -0.17 < cos eps < 0, and the global one's basin can hold well under
+    half of the angles. So the cosine of the angle is stratified: restart i
+    draws it uniformly from the i-th of ``restarts`` equal parts of [-1, 1].
+    """
+    rng = np.random.default_rng(seed)
+    om0 = unit(rng.standard_normal((restarts, 3)))
+    perp = unit(np.cross(om0, rng.standard_normal((restarts, 3))))
+    cos_angle = 2.0 * (np.arange(restarts) + rng.random(restarts)) / restarts - 1.0
+    om1 = cos_angle[:, None] * om0 + np.sqrt(1.0 - cos_angle**2)[:, None] * perp
+    return np.stack([om0, om1], axis=1)
+
+
 def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
     """Multi-start search for the settings maximizing the target.
 
-    Restart axes are drawn uniformly on the sphere from a seeded PCG64
-    generator; given the same config the whole trajectory and the result
-    are reproducible bit for bit.
+    Restarts start from `_starts`; given the same config the whole
+    trajectory and the result are reproducible bit for bit.
     """
     kind, pair = cfg.target.split("_")
-    k, m_of = _measurement_map(pair, float(cfg.eps))
+    m_of = _measurement_map(kind, pair, float(cfg.eps))
     evaluated = []  # largest |value| of each objective call
 
     def negated(flat):
-        m, pull_back = m_of(flat.reshape(-1, k, 3))
+        m, pull_back, _ = m_of(flat.reshape(-1, 2, 3))
         value, dm = _witness_of_m(kind, m)
         evaluated.append(float(np.abs(value).max()))
         return -value, -pull_back(dm).reshape(flat.shape)
 
-    x0 = unit(np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, k, 3)))
-    res = minimize(negated, x0.reshape(cfg.restarts, 3 * k), maxiter=cfg.max_iterations, tol=cfg.tolerance)
-    axes = res.x.reshape(k, 3)
-    preparations = _best_preparations(kind, m_of(axes[None])[0])[0]
+    x0 = _starts(cfg.seed, cfg.restarts).reshape(cfg.restarts, 6)
+    res = minimize(negated, x0, maxiter=cfg.max_iterations, tol=cfg.tolerance)
+    om = res.x.reshape(1, 2, 3)
+    m, _, solved = m_of(om)
+    preparations = _best_preparations(kind, m)[0]
     if pair == "ab":
-        scenario = Scenario(preparations, bob_axes=axes[:2], charlie_axes=axes[2:], ancilla_axis=_X_AXIS)
+        scenario = Scenario(preparations, bob_axes=solved[0], charlie_axes=om[0], ancilla_axis=_X_AXIS)
     else:  # Bob's axes never enter the AC statistics
-        scenario = Scenario(preparations, bob_axes=[_X_AXIS, _Z_AXIS], charlie_axes=axes[:2], ancilla_axis=axes[2])
+        scenario = Scenario(preparations, bob_axes=[_X_AXIS, _Z_AXIS], charlie_axes=om[0], ancilla_axis=solved)
     evaluator = w1 if kind == "w1" else w2
     return OptimizeResult(
         scenario=scenario,

@@ -19,6 +19,10 @@ __all__ = ["minimize", "unit"]
 ARMIJO = 1e-4
 #: Accepted values that the nonmonotone Armijo test looks back over.
 MEMORY = 10
+#: Length in radians of each restart's first trial step. A full radian can
+#: carry a restart that starts near a maximum out of that maximum's basin,
+#: where the basin is narrower than the step.
+FIRST_STEP = 0.25
 
 
 def unit(v: np.ndarray, fallback=0.0) -> np.ndarray:
@@ -42,11 +46,12 @@ def minimize(fun, x0: np.ndarray, maxiter: int, tol: float) -> SimpleNamespace:
 
     ``fun`` maps any (m, n) batch of points to (values (m,), Euclidean
     gradients (m, n)). Each restart steps against its gradient projected
-    onto the tangent spaces of its vectors and renormalizes them. Step
-    lengths are Barzilai-Borwein estimates, capped at one radian (the cap
-    is also taken where the last step saw no positive curvature). A trial
-    must decrease the value below the worst of the last ``MEMORY`` accepted
-    values by the Armijo margin; a rejected trial halves the step. A restart
+    onto the tangent spaces of its vectors and renormalizes them. The first
+    step is ``FIRST_STEP`` radians long; later step lengths are
+    Barzilai-Borwein estimates, capped at one radian (the cap is also taken
+    where the last step saw no positive curvature). A trial must decrease
+    the value below the worst of the last ``MEMORY`` accepted values by the
+    Armijo margin; a rejected trial halves the step. A restart
     stops when its projected gradient is at most ``tol`` times its value in
     norm, when its step no longer moves it in double precision (nothing is
     left to gain), or after ``maxiter`` trials.
@@ -63,7 +68,7 @@ def minimize(fun, x0: np.ndarray, maxiter: int, tol: float) -> SimpleNamespace:
 
     x = x0.reshape(len(x0), -1, 3).copy()
     f, g = projected(x)
-    step, trials = _one_radian(g), np.zeros(len(x), dtype=int)
+    step, trials = FIRST_STEP * _one_radian(g), np.zeros(len(x), dtype=int)
     recent = np.repeat(f[:, None], MEMORY, axis=1)
     done = np.linalg.norm(g, axis=(1, 2)) <= tol * np.abs(f)
     while (active := np.flatnonzero(~done & (trials < maxiter))).size:

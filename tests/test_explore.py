@@ -15,7 +15,9 @@ X_AXIS, Z_AXIS = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
 
 coupling = st.floats(0.0, np.pi)
 direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 1e-3)
-axis_batch = st.lists(direction, min_size=4, max_size=4).map(lambda vs: [np.array(v) / np.linalg.norm(v) for v in vs])
+axis_pair = st.lists(direction, min_size=2, max_size=2).map(
+    lambda vs: np.array(vs) / np.linalg.norm(vs, axis=1, keepdims=True)
+)
 
 # frozen analytic window endpoints
 WINDOW_LO = 0.9989374565936864  # arcsin(2^(-1/4))
@@ -39,6 +41,35 @@ def test_config_validation():
         OptimizeConfig(target="w1_ab", tolerance=0.0)
     with pytest.raises(ValueError, match="seed"):
         OptimizeConfig(target="w1_ab", seed=-1)
+    for field in ("seed", "restarts", "max_iterations"):
+        for bad in (True, np.True_, 2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                OptimizeConfig(target="w1_ab", **{field: bad})
+        assert getattr(OptimizeConfig(target="w1_ab", **{field: np.int64(3)}), field) == 3
+
+
+def _closed_form_maximum(target, eps):
+    """Qubit maxima of each target at coupling eps, uniform z prior."""
+    c, s = np.cos(eps), np.sin(eps)
+    return {
+        "w1_ab": 2.0 * np.sqrt(1.0 + c * c),
+        "w2_ab": max(((1.0 + c) / 2.0) ** 2, abs(c)),
+        "w1_ac": 2.0 * np.sqrt(2.0) * abs(s),
+        "w2_ac": s * s,
+    }[target]
+
+
+ORACLE_COUPLINGS = [0.0, 0.08, 0.3, 1.0, np.pi / 2, 2.0, 3.0, 3.137, np.pi]
+ORACLE_COUPLINGS += list(np.random.default_rng(5).uniform(0.0, np.pi, 20))
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_search_recovers_the_closed_form_maximum_at_every_coupling(target):
+    for eps in ORACLE_COUPLINGS:
+        for seed in (0, 1):
+            res = optimize_settings(OptimizeConfig(target=target, eps=float(eps), restarts=4, seed=seed))
+            assert abs(res.value - _closed_form_maximum(target, eps)) < 1e-7, (eps, seed)
+            assert res.converged and res.evaluations <= 100, (eps, seed, res.evaluations)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0, 4.0, float("inf")])
@@ -186,8 +217,29 @@ def test_ac_pair_without_charlie_signal_gives_a_valid_scenario_worth_zero(target
     assert res.max_evaluated < 1e-15
 
 
+def test_w2_ab_finds_the_orthogonal_maximum_beside_the_parallel_one():
+    # for -0.17 < cos eps < 0 parallel Charlie axes are a local maximum worth
+    # |cos eps|, below ((1 + cos eps) / 2)^2 at orthogonal axes, whose basin
+    # holds well under half the angles between the axes
+    for eps in (1.70, 1.72, 1.74, 1.7431956357762555):
+        for seed in range(25):
+            res = optimize_settings(OptimizeConfig(target="w2_ab", eps=eps, restarts=4, seed=seed))
+            assert abs(res.value - _closed_form_maximum("w2_ab", eps)) < 1e-7, (eps, seed)
+
+
+@pytest.mark.parametrize("restarts", [1, 4, 16])
+def test_restarts_stratify_the_angle_between_charlies_axes(restarts):
+    om = explore._starts(7, restarts)
+    assert np.array_equal(om, explore._starts(7, restarts))
+    assert np.allclose(np.linalg.norm(om, axis=2), 1.0, atol=1e-15)
+    edges = np.linspace(-1.0, 1.0, restarts + 1)
+    cos_angle = np.sum(om[:, 0] * om[:, 1], axis=1)
+    assert np.all((edges[:-1] - 1e-12 <= cos_angle) & (cos_angle <= edges[1:] + 1e-12))
+
+
 def test_iteration_cap_clears_converged():
-    res = optimize_settings(small_cfg(restarts=3, max_iterations=1))
+    # at eps = 0 the first point is already stationary (nothing couples to Charlie's axes)
+    res = optimize_settings(small_cfg(eps=1.0, restarts=3, max_iterations=1))
     assert not res.converged
     assert res.max_evaluated <= QUANTUM_BOUND_W1 + 1e-9
 
@@ -214,40 +266,56 @@ def test_module_minimize_is_the_single_patchable_entry(monkeypatch):
     assert len(outcomes) == 1 and type(outcomes[0]) is bool
 
 
-def _scenario(pair, preparations, axes):
-    """Scenario whose target statistics use the searched axes."""
+def _scenario(pair, preparations, charlie, solved):
+    """Scenario whose target statistics use Charlie's axes and the solved ones."""
     if pair == "ab":
-        return Scenario(preparations, bob_axes=axes[:2], charlie_axes=axes[2:], ancilla_axis=X_AXIS)
-    return Scenario(preparations, bob_axes=[X_AXIS, Z_AXIS], charlie_axes=axes[:2], ancilla_axis=axes[2])
+        return Scenario(preparations, bob_axes=solved[0], charlie_axes=charlie, ancilla_axis=X_AXIS)
+    return Scenario(preparations, bob_axes=[X_AXIS, Z_AXIS], charlie_axes=charlie, ancilla_axis=solved)
+
+
+def _abs_eigenvalues(eps, charlie):
+    """|eigenvalues| s1 >= s2 >= s3 of M = cos eps I + (1 - cos eps)/2 sum_z om_z om_z^T."""
+    mat = np.cos(eps) * np.eye(3) + 0.5 * (1.0 - np.cos(eps)) * charlie.T @ charlie
+    return np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1]
 
 
 @settings(max_examples=150, deadline=None)
-@given(target=st.sampled_from(TARGETS), eps=coupling, axes=axis_batch)
-def test_eliminated_objective_is_the_simulated_witness_of_the_closed_form_preparations(target, eps, axes):
+@given(target=st.sampled_from(TARGETS), eps=coupling, charlie=axis_pair)
+def test_eliminated_objective_is_the_simulated_witness_of_the_closed_form_preparations(target, eps, charlie):
     kind, pair = target.split("_")
-    k, m_of = explore._measurement_map(pair, eps)
-    m, _ = m_of(np.array(axes[:k])[None])
+    m, _, solved = explore._measurement_map(kind, pair, eps)(charlie[None])
     value = explore._witness_of_m(kind, m)[0][0]
     preparations = explore._best_preparations(kind, m)[0]
-    table = build_table(_scenario(pair, preparations, axes[:k]), eps)
+    table = build_table(_scenario(pair, preparations, charlie, solved), eps)
     simulated = (w1 if kind == "w1" else w2)(table, pair=pair).value
-    m0, m1 = m[0]
-    closed = np.linalg.norm(m0 + m1) + np.linalg.norm(m0 - m1) if kind == "w1" else np.linalg.norm(np.cross(m0, m1))
+    if pair == "ab":
+        s1, s2, _ = _abs_eigenvalues(eps, charlie)
+        closed = 2.0 * np.hypot(s1, s2) if kind == "w1" else s1 * s2
+    else:
+        (om0, om1), d = charlie, abs(np.sin(eps))
+        if kind == "w1":
+            closed = d * (np.linalg.norm(om0 + om1) + np.linalg.norm(om0 - om1))
+        else:
+            closed = d * d * np.linalg.norm(np.cross(om0, om1))
     assert abs(value - simulated) < 1e-12
     assert abs(value - closed) < 1e-12
     assert value <= BOUND[kind] + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
-@given(target=st.sampled_from(TARGETS), eps=coupling, axes=axis_batch, tangent=axis_batch)
-def test_objective_gradient_matches_central_differences(target, eps, axes, tangent):
+@given(target=st.sampled_from(TARGETS), eps=coupling, charlie=axis_pair, tangent=axis_pair)
+def test_objective_gradient_matches_central_differences(target, eps, charlie, tangent):
     kind, pair = target.split("_")
-    k, m_of = explore._measurement_map(pair, eps)
-    x, d = np.array(axes[:k])[None], np.array(tangent[:k])[None]
-    m, pull_back = m_of(x)
-    # keep away from the kinks of |.|, where the witness is not differentiable
+    m_of = explore._measurement_map(kind, pair, eps)
+    x, d = charlie[None], tangent[None]
+    m, pull_back, _ = m_of(x)
+    # keep away from the kinks of |.|, where the witness is not differentiable,
+    # and from a tie between the second and third |eigenvalue|, where Bob's solved axes jump
     signed = explore._SIGNS @ m[0]
     assume(np.linalg.norm(signed, axis=1).min() > 1e-3 if kind == "w1" else np.linalg.norm(np.cross(*m[0])) > 1e-3)
+    if pair == "ab":
+        s = _abs_eigenvalues(eps, charlie)
+        assume(s[1] - s[2] > 1e-3)
     grad = pull_back(explore._witness_of_m(kind, m)[1])
 
     def value(at):
