@@ -45,6 +45,8 @@ class CouplingRangeError(ValueError):
 #: plain floats, without building an array; bool and other types take the
 #: array path.
 _SCALARS = (float, int, np.float64)
+#: Most points `coupling_grid` accepts, 100 times the default grid.
+MAX_STEPS = 10_001
 
 
 def check_coupling(eps):
@@ -66,6 +68,16 @@ def check_coupling(eps):
     return float(eps) if eps.ndim == 0 else eps
 
 
+def coupling_grid(start, end, steps) -> np.ndarray:
+    """``steps`` evenly spaced angles from ``start`` to ``end``; ValueError, before any allocation,
+    unless 0 <= start < end <= pi and ``steps`` is an integer (not a bool) from 2 to `MAX_STEPS`."""
+    if not 0.0 <= start < end <= np.pi:  # False for NaN as well
+        raise ValueError(f"need 0 <= eps-start < eps-end <= pi, got [{start}, {end}]")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or not 2 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be an integer >= 2 and at most {MAX_STEPS}, got {steps!r}")
+    return np.linspace(start, end, steps)
+
+
 def phase_kick(eps) -> np.ndarray:
     """The conditional ancilla unitary ``diag(e^{i eps}, e^{-i eps})``."""
     eps = check_coupling(eps)
@@ -83,7 +95,6 @@ def controlled_kick(axis, eps) -> np.ndarray:
     zero coupling gives the exact identity. Unitary for every (axis, eps).
     """
     axis = np.asarray(axis, dtype=float)
-    projector(axis)  # reject non-unit axes up front
     return tensor(IDENTITY, IDENTITY) + tensor(projector(-axis), phase_kick(eps) - IDENTITY)
 
 

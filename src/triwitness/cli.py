@@ -12,9 +12,10 @@ Subcommands map one-to-one onto the things the library can produce:
 Angles are radians everywhere. All numeric output is rounded to 12
 significant digits, which makes repeated runs byte-identical.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
-an angle outside [0, pi], more than 10 001 grid points, more than 6 400
-restarts, a negative seed, a malformed or unreadable scenario file).
+Exit codes: 0 success, 1 verification failure, 2 usage error: every rejected
+input, argparse's errors included, is one stderr line. The library calls raise
+ValueError for the same inputs (an angle outside [0, pi], a grid outside 2 to
+10 001 points, a bad tolerance, `OptimizeConfig` restarts outside 1 to 6 400).
 """
 
 from __future__ import annotations
@@ -22,17 +23,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite, pi
+from math import pi
 from pathlib import Path
 
 import numpy as np
 
 from . import randomness as rnd
 from . import witness as wit
-from .channel import CouplingRangeError
-from .explore import OptimizeConfig, find_violation_window, optimize_settings
+from .channel import MAX_STEPS, coupling_grid
+from .explore import MAX_RESTARTS, OptimizeConfig, check_tolerance, find_violation_window, optimize_settings
 from .scenario import (
-    InvalidScenarioError,
     ProbTable,
     Scenario,
     build_table,
@@ -61,10 +61,6 @@ SWEEP_COLUMNS = (
     "hmin_global_exact",
     "hmin_global_bound",
 )
-#: Largest accepted --steps, 100 times the default grid.
-MAX_STEPS = 10_001
-#: Largest accepted --restarts, 100 times the default.
-MAX_RESTARTS = 6_400
 
 
 def _sci(v: float) -> str:
@@ -81,21 +77,21 @@ def _round_values(d: dict) -> dict:
 
 def _sweep_rows(probs: np.ndarray, z_prior, grid) -> list[dict]:
     """Sweep rows of a stack of tables: every column is one array over the grid."""
-    _, w1, w2 = wit._readout_values(probs, z_prior)  # (eps, readout): AB, AB at z = 0, AB at z = 1, AC
-    w1 = wit.check_witness("w1", w1)
+    _, w1, w2 = wit._readout_values(probs, z_prior)  # (eps, readout)
+    w1 = wit.check_witness("w1", w1)  # checked values pass the checks of h_from_w1 and h_from_w2
     w2 = wit.check_witness("w2", w2)
     entropies = rnd._figures(probs, z_prior, w1, w2)
     columns = {
         "epsilon": np.asarray(grid, dtype=float),
-        "w1_ab": w1[:, 0],
-        "w1_ac": w1[:, 3],
-        "w2_ab": w2[:, 0],
-        "w2_ac": w2[:, 3],
-        "w1_ab_z0": w1[:, 1],
-        "w2_ab_z0": w2[:, 1],
-        "h_bob_w1": rnd.h_from_w1(w1[:, 1]),
-        "h_bob_w2": rnd.h_from_w2(w2[:, 1]),
-        "h_charlie": rnd.h_from_w1(w1[:, 3]),
+        "w1_ab": w1[:, wit._AB],
+        "w1_ac": w1[:, wit._AC],
+        "w2_ab": w2[:, wit._AB],
+        "w2_ac": w2[:, wit._AC],
+        "w1_ab_z0": w1[:, wit._AB_Z[0]],
+        "w2_ab_z0": w2[:, wit._AB_Z[0]],
+        "h_bob_w1": rnd._h1(w1[:, wit._AB_Z[0]]),
+        "h_bob_w2": rnd._h2(np.abs(w2[:, wit._AB_Z[0]])),
+        "h_charlie": rnd._h1(w1[:, wit._AC]),
         "hmin_global_exact": entropies["hmin_global_exact"],
         "hmin_global_bound": entropies["hmin_global_bound"],
     }
@@ -113,7 +109,7 @@ def run_sweep(scenario: Scenario, eps_start: float, eps_end: float, steps: int) 
     The grid is built by one engine call and every table passes the checks
     of `ProbTable`.
     """
-    grid = np.linspace(eps_start, eps_end, steps)
+    grid = coupling_grid(eps_start, eps_end, steps)
     return _sweep_rows(check_probs(build_tables(scenario, grid)), scenario.z_prior, grid)
 
 
@@ -181,7 +177,8 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
     one `witness._readout_values` call; every check then compares an
     expected array with an actual array over the grid.
     """
-    grid = np.linspace(0.0, pi, grid_steps)
+    tolerance = check_tolerance("tolerance", tolerance)
+    grid = coupling_grid(0.0, pi, grid_steps)
     zero = np.zeros(grid_steps)
     scenarios = {"w1": canonical_w1_scenario(), "w2": canonical_w2_scenario()}
     probs = {label: build_tables(scn, grid) for label, scn in scenarios.items()}
@@ -192,11 +189,11 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
         report.append(_worst(name, grid, expected, actual, tol))
 
     # the six analytic witness curves (z-conditioned ones for both z)
-    w1, w2 = readouts["w1"][1], readouts["w2"][2]  # (eps, readout): AB, AB at z = 0, AB at z = 1, AC
-    curves = {"w1_ab": w1[:, 0], "w1_ac": w1[:, 3], "w2_ab": w2[:, 0], "w2_ac": w2[:, 3]}
+    w1, w2 = readouts["w1"][1], readouts["w2"][2]  # (eps, readout)
+    curves = {"w1_ab": w1[:, wit._AB], "w1_ac": w1[:, wit._AC], "w2_ab": w2[:, wit._AB], "w2_ac": w2[:, wit._AC]}
     for z in (0, 1):
-        curves[f"w1_ab_z{z}"] = w1[:, 1 + z]
-        curves[f"w2_ab_z{z}"] = w2[:, 1 + z]
+        curves[f"w1_ab_z{z}"] = w1[:, wit._AB_Z[z]]
+        curves[f"w2_ab_z{z}"] = w2[:, wit._AB_Z[z]]
     for name, actual in curves.items():  # both z share one closed form, e.g. w1_ab_z
         row(f"closed_form[{name}]", actual, wit.closed_form(name.rstrip("01"), grid))
 
@@ -210,12 +207,12 @@ def run_verify(grid_steps: int = 101, tolerance: float = 1e-9) -> tuple[list[dic
 
     # independent Bloch-algebra oracle for every marginal probability
     for label, scn in scenarios.items():
-        bob = readouts[label][0][:, 1:3]  # (eps, z, x, y): p(b = +1 | x, y, z)
+        bob = readouts[label][0][:, wit._AB_Z]  # (eps, z, x, y): p(b = +1 | x, y, z)
         oracle = np.empty_like(bob)
         for x, y, z in np.ndindex(4, 2, 2):
             oracle[:, z, x, y] = p_bob_plus_closed_form(scn, grid, x, y, z)
         row(f"bloch_oracle_bob[{label}_scenario]", np.abs(bob - oracle).max(axis=(1, 2, 3)))
-        charlie = readouts[label][0][:, 3]  # (eps, x, z): p(c = +1 | x, z)
+        charlie = readouts[label][0][:, wit._AC]  # (eps, x, z): p(c = +1 | x, z)
         oracle = np.empty_like(charlie)
         for x, z in np.ndindex(4, 2):
             oracle[:, x, z] = p_charlie_plus_closed_form(scn, grid, x, z)
@@ -266,24 +263,18 @@ def _add_range_args(p: argparse.ArgumentParser) -> None:
 
 
 class UsageError(ValueError):
-    """A flag value the command cannot serve; reported as one stderr line, exit 2."""
+    """A command line argparse cannot parse; reported as one stderr line, exit 2."""
 
 
-def _check_steps(parser: argparse.ArgumentParser, steps: int) -> None:
-    if steps < 2:
-        parser.error(f"steps must be >= 2, got {steps}")
-    if steps > MAX_STEPS:  # checked before any grid is allocated
-        raise UsageError(f"steps must be at most {MAX_STEPS}, got {steps}")
+class _Parser(argparse.ArgumentParser):
+    """Raises `UsageError` where argparse would print usage and exit; its subparsers inherit the class."""
 
-
-def _validate_range(parser: argparse.ArgumentParser, args) -> None:
-    if not (0.0 <= args.eps_start < args.eps_end <= pi):
-        parser.error(f"need 0 <= eps-start < eps-end <= pi, got [{args.eps_start}, {args.eps_end}]")
-    _check_steps(parser, args.steps)
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="triwitness", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="triwitness", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="witness/entropy curves over a coupling grid")
@@ -332,25 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
 # -- handlers --------------------------------------------------------------
 
 
-def _cmd_sweep(parser, args) -> int:
-    _validate_range(parser, args)
+def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     rows = run_sweep(scenario, args.eps_start, args.eps_end, args.steps)
     _write_rows(rows, SWEEP_COLUMNS, args.format, args.out)
     return 0
 
 
-def _check_tol(parser, tol: float) -> None:
-    if not (isfinite(tol) and tol > 0):
-        parser.error(f"tol must be finite and positive, got {tol}")
-
-
-def _cmd_thresholds(parser, args) -> int:
-    _check_tol(parser, args.tol)
+def _cmd_thresholds(args) -> int:
     window = find_violation_window(args.scenario, tol=args.tol)
     mid = 0.5 * (window.lo + window.hi)
-    scn = canonical_w1_scenario() if args.scenario == "w1" else canonical_w2_scenario()
-    table = build_table(scn, mid)
+    table = build_table(_load_scenario(args), mid)
     evaluator = wit.w1 if args.scenario == "w1" else wit.w2
     row = {
         "kind": window.kind,
@@ -364,23 +347,15 @@ def _cmd_thresholds(parser, args) -> int:
     return 0
 
 
-def _cmd_optimize(parser, args) -> int:
-    if args.restarts < 1:
-        parser.error("restarts must be >= 1")
-    if args.restarts > MAX_RESTARTS:  # checked before the search allocates (restarts, 2, 3)
-        raise UsageError(f"restarts must be at most {MAX_RESTARTS}, got {args.restarts}")
-    _check_tol(parser, args.tol)
-    try:
-        cfg = OptimizeConfig(
-            target=args.target,
-            eps=args.eps,
-            restarts=args.restarts,
-            seed=args.seed,
-            tolerance=args.tol,
-            allow_mixed=args.allow_mixed,
-        )
-    except ValueError as exc:  # a negative seed or a coupling outside [0, pi]
-        raise UsageError(str(exc)) from exc
+def _cmd_optimize(args) -> int:
+    cfg = OptimizeConfig(
+        target=args.target,
+        eps=args.eps,
+        restarts=args.restarts,
+        seed=args.seed,
+        tolerance=args.tol,
+        allow_mixed=args.allow_mixed,
+    )
     result = optimize_settings(cfg)
     summary = {
         "target": cfg.target,
@@ -402,13 +377,12 @@ def _cmd_optimize(parser, args) -> int:
     return 0
 
 
-def _cmd_randomness(parser, args) -> int:
+def _cmd_randomness(args) -> int:
     scenario = _load_scenario(args)
     if args.eps is not None:
         grid = [args.eps]
     else:
-        _validate_range(parser, args)
-        grid = [float(e) for e in np.linspace(args.eps_start, args.eps_end, args.steps)]
+        grid = coupling_grid(args.eps_start, args.eps_end, args.steps).tolist()
     values = rnd.entropy_values(check_probs(build_tables(scenario, grid)), scenario.z_prior)
     columns = [grid] + [v.tolist() for v in values.values()]
     names = ("epsilon", *values)
@@ -417,7 +391,7 @@ def _cmd_randomness(parser, args) -> int:
     return 0
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(args) -> int:
     scenario = _load_scenario(args)
     table = build_table(scenario, args.eps)
     labels = {0: "+1", 1: "-1"}
@@ -435,9 +409,7 @@ def _cmd_table(parser, args) -> int:
     return 0
 
 
-def _cmd_verify(parser, args) -> int:
-    _check_steps(parser, args.steps)
-    _check_tol(parser, args.tol)
+def _cmd_verify(args) -> int:
     report, passed = run_verify(grid_steps=args.steps, tolerance=args.tol)
     width = max(len(r["check_name"]) for r in report)
     for r in report:
@@ -453,7 +425,6 @@ def _cmd_verify(parser, args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "thresholds": _cmd_thresholds,
@@ -463,12 +434,11 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](parser, args)
+        args = parser.parse_args(argv)
+        return handlers[args.command](args)
     except json.JSONDecodeError as exc:
         print(f"{parser.prog}: error: scenario file is not valid JSON: {exc}", file=sys.stderr)
-    except (CouplingRangeError, InvalidScenarioError, UsageError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-    except OSError as exc:  # a --scenario-file that cannot be read or an --out that cannot be written
+    except (ValueError, OSError) as exc:  # every input check, an unreadable scenario or an unwritable --out
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
     return 2
 

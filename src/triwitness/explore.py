@@ -51,6 +51,17 @@ _TARGETS = ("w1_ab", "w1_ac", "w2_ab", "w2_ac")
 _SIGNS = np.array(QRAC_SIGNS, dtype=float)  # (x, s) signs of the linear witness
 _X_AXIS, _Z_AXIS = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
 _PLUS_MINUS = np.array([[1.0], [-1.0]])
+#: Most restarts `OptimizeConfig` accepts, 100 times the default.
+MAX_RESTARTS = 6_400
+#: The types of a real number; bool, an int subclass, is excluded by hand.
+_REALS = (int, float, np.integer, np.floating)
+
+
+def check_tolerance(name: str, value) -> float:
+    """A finite positive real ``value`` (not a bool) as a float, or ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not (isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,7 @@ class OptimizeConfig:
     times its witness value in norm (or once no step can improve it in
     double precision). ``allow_mixed`` is accepted for compatibility: pure
     preparations are optimal for an affine objective, so they stay pure.
+    The checked ``eps`` and ``tolerance`` are kept as floats, ``allow_mixed`` as a bool.
     """
 
     target: str  # one of w1_ab, w1_ac, w2_ab, w2_ac
@@ -74,15 +86,21 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.target not in _TARGETS:
             raise ValueError(f"target must be one of {_TARGETS}, got {self.target!r}")
-        check_coupling(self.eps)
+        if isinstance(self.eps, bool) or not isinstance(self.eps, _REALS):
+            raise ValueError(f"eps must be a real number, got {self.eps!r}")
+        object.__setattr__(self, "eps", check_coupling(float(self.eps)))
         for name, least in (("restarts", 1), ("seed", 0), ("max_iterations", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if not (isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if self.restarts > MAX_RESTARTS:  # checked before the search allocates (restarts, 2, 3)
+            raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
+        object.__setattr__(self, "tolerance", check_tolerance("tolerance", self.tolerance))
+        if not isinstance(self.allow_mixed, (bool, np.bool_)):
+            raise ValueError(f"allow_mixed must be a bool, got {self.allow_mixed!r}")
+        object.__setattr__(self, "allow_mixed", bool(self.allow_mixed))
 
 
 @dataclass(frozen=True)
@@ -223,7 +241,7 @@ def optimize_settings(cfg: OptimizeConfig) -> OptimizeResult:
     trajectory and the result are reproducible bit for bit.
     """
     kind, pair = cfg.target.split("_")
-    m_of = _measurement_map(kind, pair, float(cfg.eps))
+    m_of = _measurement_map(kind, pair, cfg.eps)
     evaluated = []  # largest |value| of each objective call
 
     def negated(flat):
@@ -313,8 +331,7 @@ def find_violation_window(kind: str, tol: float = 1e-12) -> Window:
     ``tol`` is validated and kept for compatibility; it no longer changes
     the result, which is exact to rounding.
     """
-    if not (isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    check_tolerance("tol", tol)
     if kind == "w1":
         return _w1_window(w1_curves(canonical_w1_scenario()))
     if kind == "w2":

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_coupling
 from .scenario import ProbTable, _float_if_scalar
 from .witness import QUANTUM_BOUND_W1, QUANTUM_BOUND_W2, VIOLATION_TOL, _readout_values, check_witness, closed_form
+from .witness import _AB_Z, _AC
 
 __all__ = [
     "SuperQuantumWitnessError",
@@ -165,7 +165,6 @@ def _h2(a: np.ndarray) -> np.ndarray:
 
 def bob_certified(eps: float, kind: str) -> float:
     """Certified rate on Bob's side from the z-conditioned witness curves."""
-    eps = check_coupling(eps)
     if kind == "w1":
         return h_from_w1(closed_form("w1_ab_z", eps))
     if kind == "w2":
@@ -176,7 +175,7 @@ def bob_certified(eps: float, kind: str) -> float:
 def charlie_certified(eps: float) -> float:
     """Certified rate on Charlie's side: the AC pair is a clean two-observer
     protocol, so the linear-witness relation applies directly."""
-    return h_from_w1(closed_form("w1_ac", check_coupling(eps)))
+    return h_from_w1(closed_form("w1_ac", eps))
 
 
 @dataclass(frozen=True)
@@ -218,12 +217,12 @@ def entropy_values(probs: np.ndarray, z_prior) -> dict:
 def _figures(probs: np.ndarray, z_prior, w1: np.ndarray, w2: np.ndarray) -> dict:
     """`entropy_values` given the witnesses (..., 4) of `witness._readout_values`.
 
-    Readouts 1 and 2 are AB at z = 0 and z = 1, readout 3 is AC. Values
-    that pass `check_witness` pass the checks of `h_from_w1` and
-    `h_from_w2`, whose bits they then get.
+    Bob's rates read the AB readouts at z = 0 and z = 1, Charlie's the AC
+    readout. Values that pass `check_witness` pass the checks of
+    `h_from_w1` and `h_from_w2`, whose bits they then get.
     """
-    h1 = _h1(check_witness("w1", w1[..., 1:]))  # (..., readout)
-    h2 = _h2(np.abs(check_witness("w2", w2[..., 1:3])))
+    h1 = _h1(check_witness("w1", w1[..., (*_AB_Z, _AC)]))  # (..., z = 0, z = 1, AC)
+    h2 = _h2(np.abs(check_witness("w2", w2[..., _AB_Z])))
     figures = _exact_figures(probs, z_prior)
     figures["h_bob_certified_w1"] = np.minimum(h1[..., 0], h1[..., 1])
     figures["h_bob_certified_w2"] = np.minimum(h2[..., 0], h2[..., 1])

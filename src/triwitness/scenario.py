@@ -313,10 +313,9 @@ class ProbTable:
     eps: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != TABLE_SHAPE:
+        probs = check_probs(self.probs).copy()
+        if probs.shape != TABLE_SHAPE:  # check_probs accepts a stack of tables too
             raise InvalidScenarioError(f"probability table must have shape (4,2,2,2,2), got {probs.shape}")
-        probs = check_probs(probs).copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "eps", float(self.eps))

@@ -67,6 +67,9 @@ VIOLATION_TOL = 1e-9
 
 #: Sign of the w1 term for (x, s): + iff bit s of x is 0.
 QRAC_SIGNS = tuple(tuple(1 if ((x >> (1 - s)) & 1) == 0 else -1 for s in range(2)) for x in range(4))
+#: Readout positions, the one record of their order: AB averaged over z, AB at z = 0 and z = 1 (indexed
+#: by z; ``w[..., _AB_Z]`` picks both), AC. `_readout_index` and `_readout_values` read them.
+_AB, _AB_Z, _AC = 0, (1, 2), 3
 
 @dataclass(frozen=True)
 class WitnessValue:
@@ -151,19 +154,18 @@ def setting_probs(probs: np.ndarray, z_prior, pair: str, z: int | None = None) -
 def _readout_index(pair: str, z: int | None) -> int:
     """Index of readout (pair, z) in `_readout_values`, after validating both.
 
-    0 is AB averaged over z, 1 and 2 are AB at z = 0 and z = 1, 3 is AC.
     ``z`` is None or an integer 0 or 1; a bool or a float is rejected.
     """
     if pair == "ab":
         if z is None:
-            return 0
+            return _AB
         if isinstance(z, (int, np.integer)) and not isinstance(z, bool) and z in (0, 1):
-            return 1 + int(z)
+            return _AB_Z[z]
         raise ValueError(f"z must be 0 or 1, got {z!r}")
     if pair == "ac":
         if z is not None:
             raise ValueError("the AC pair uses z itself as the setting; conditioning on z is meaningless")
-        return 3
+        return _AC
     raise ValueError(f"pair must be 'ab' or 'ac', got {pair!r}")
 
 
@@ -177,10 +179,10 @@ def _readout_values(probs: np.ndarray, z_prior) -> tuple:
     """
     bob = probs[..., 0, :].sum(axis=-1)  # (..., x, y, z)
     p = np.empty(probs.shape[:-5] + (4, 4, 2))
-    p[..., 0, :, :] = z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
-    p[..., 1, :, :] = bob[..., 0]
-    p[..., 2, :, :] = bob[..., 1]
-    p[..., 3, :, :] = probs[..., 0, :, :, 0].sum(axis=-1)  # Charlie's +1, stored at y = 0
+    p[..., _AB, :, :] = z_prior[0] * bob[..., 0] + z_prior[1] * bob[..., 1]
+    p[..., _AB_Z[0], :, :] = bob[..., 0]
+    p[..., _AB_Z[1], :, :] = bob[..., 1]
+    p[..., _AC, :, :] = probs[..., 0, :, :, 0].sum(axis=-1)  # Charlie's +1, stored at y = 0
     return p, qrac_values(p), determinant_values(p)
 
 

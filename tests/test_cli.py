@@ -1,14 +1,19 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triwitness import cli, explore
 from triwitness.cli import MAX_RESTARTS, MAX_STEPS, SWEEP_COLUMNS, main, run_sweep, run_verify
+from triwitness.explore import OptimizeConfig, find_violation_window
 from triwitness.scenario import canonical_w2_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -33,16 +38,15 @@ def test_sweep_header_and_special_rows(tmp_path):
     assert abs(float(rows[0]["h_bob_w1"]) - 0.2284466968) < 1e-6
 
 
-def test_sweep_rejects_bad_ranges(tmp_path):
-    for flags in (
-        ["--eps-start", "2.0", "--eps-end", "1.0"],
-        ["--eps-start", "-0.5"],
-        ["--eps-end", "4.0"],
-        ["--steps", "1"],
+def test_sweep_rejects_bad_ranges(tmp_path, capsys):
+    for flags, needle in (
+        (["--eps-start", "2.0", "--eps-end", "1.0"], "eps-start < eps-end"),
+        (["--eps-start", "-0.5"], "eps-start < eps-end"),
+        (["--eps-end", "4.0"], "eps-start < eps-end"),
+        (["--steps", "1"], "steps must be an integer >= 2"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", *flags, "--out", str(tmp_path / "x.csv")])
-        assert exc.value.code == 2
+        assert_usage_error(["sweep", *flags, "--out", str(tmp_path / "x.csv")], capsys, needle)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_is_byte_identical(tmp_path):
@@ -111,21 +115,15 @@ def test_optimize_json_output_and_determinism(tmp_path):
     assert set(doc["scenario"]) == {"preparations", "bob_axes", "charlie_axes", "ancilla_axis", "z_prior"}
 
 
-def test_optimize_rejects_bad_flags(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["optimize", "--restarts", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["optimize", "--tol", "-1"])
-    assert exc.value.code == 2
+def test_optimize_rejects_bad_flags(capsys):
+    assert_usage_error(["optimize", "--restarts", "0"], capsys, "restarts must be >= 1")
+    assert_usage_error(["optimize", "--tol", "-1"], capsys, "tolerance must be a finite positive number")
 
 
 @pytest.mark.parametrize("command", ["thresholds", "optimize", "verify"])
 @pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_non_finite_tolerance_is_a_usage_error(command, tol):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--tol", tol])
-    assert exc.value.code == 2
+def test_non_finite_tolerance_is_a_usage_error(command, tol, capsys):
+    assert_usage_error([command, "--tol", tol], capsys, "must be a finite positive number")
 
 
 def assert_usage_error(argv, capsys, needle):
@@ -134,6 +132,79 @@ def assert_usage_error(argv, capsys, needle):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("triwitness: error:") and needle in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["sweep", "--steps", "abc"], "invalid int value: 'abc'"),
+        (["sweep", "--scenario", "w3"], "invalid choice: 'w3'"),
+        (["table"], "the following arguments are required: --eps"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ],
+)
+def test_argparse_errors_are_usage_errors(argv, needle, capsys):
+    assert_usage_error(argv, capsys, needle)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: triwitness" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--restarts", "x1"],
+        ["sweep", "--steps", "1"],
+        ["randomness", "--eps-start", "2", "--eps-end", "1"],
+        ["verify", "--tol", "nan"],
+        ["optimize", "--restarts", "0"],
+        ["table", "--eps", "4"],
+        ["table", "--eps", "1", "--scenario-file", "absent.json"],
+        ["frobnicate"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_rejection_through_a_real_process_is_one_line_and_exit_2(argv, tmp_path):
+    """`python -m triwitness` takes the same path as `main`: the in-process tests cannot see it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "triwitness", *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("triwitness: error:"), proc.stderr
+
+
+def library_rejections():
+    """One call per input that the CLI rejects, made on the library call that consumes it."""
+    s = canonical_w2_scenario()
+    for t in (float("nan"), float("inf"), 0.0, -1.0, True):
+        yield pytest.param(lambda t=t: run_verify(5, t), id=f"run_verify-tol-{t}")
+        yield pytest.param(lambda t=t: find_violation_window("w1", tol=t), id=f"window-tol-{t}")
+        yield pytest.param(lambda t=t: OptimizeConfig("w1_ab", tolerance=t), id=f"config-tol-{t}")
+    for n in (0, 1, True, 2.0, MAX_STEPS + 1):
+        yield pytest.param(lambda n=n: run_verify(n), id=f"run_verify-steps-{n}")
+        yield pytest.param(lambda n=n: run_sweep(s, 0.0, np.pi, n), id=f"sweep-steps-{n}")
+    for r in ((2.0, 1.0), (1.0, 1.0), (-0.5, 1.0), (0.0, 4.0), (float("nan"), 1.0)):
+        yield pytest.param(lambda r=r: run_sweep(s, *r, 3), id=f"sweep-range-{r}")
+    yield pytest.param(lambda: OptimizeConfig("w1_ab", restarts=MAX_RESTARTS + 1), id="config-restarts")
+
+
+@pytest.mark.parametrize("call", library_rejections())
+def test_library_rejects_what_the_cli_rejects_before_allocating(call, engine_calls):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert engine_calls["build_tables"] == []
 
 
 @pytest.mark.parametrize("eps", ["nan", "5", "-1"])

@@ -46,6 +46,17 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 OptimizeConfig(target="w1_ab", **{field: bad})
         assert getattr(OptimizeConfig(target="w1_ab", **{field: np.int64(3)}), field) == 3
+    for field, message in (("eps", "eps must be a real number"), ("tolerance", "tolerance must be a finite")):
+        for bad in (True, np.True_, "1.0", None):
+            with pytest.raises(ValueError, match=message):
+                OptimizeConfig(target="w1_ab", **{field: bad})
+        for good in (1, np.int64(1), np.float64(1.0), np.float32(1.0)):
+            value = getattr(OptimizeConfig(target="w1_ab", **{field: good}), field)
+            assert type(value) is float and value == 1.0
+    for bad in ("no", 1, None):
+        with pytest.raises(ValueError, match="allow_mixed must be a bool"):
+            OptimizeConfig(target="w1_ab", allow_mixed=bad)
+    assert OptimizeConfig(target="w1_ab", allow_mixed=np.True_).allow_mixed is True
 
 
 def _closed_form_maximum(target, eps):
